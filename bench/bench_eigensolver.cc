@@ -22,11 +22,10 @@
 #include "eigen/fiedler.h"
 #include "eigen/kernel_profile.h"
 #include "graph/graph.h"
-#include "linalg/block_ops.h"
-#include "linalg/packed_basis.h"
 #include "graph/grid_graph.h"
 #include "graph/laplacian.h"
 #include "graph/point_graph.h"
+#include "linalg/packed_basis.h"
 #include "linalg/sparse_matrix.h"
 #include "space/point_set.h"
 #include "util/check.h"
@@ -217,13 +216,15 @@ void RunSpmmMicrobench(const Workload& w, TablePrinter& table) {
 
   WallTimer timer;
   for (int r = 0; r < kReps; ++r) {
-    w.laplacian.MatVecRowsBlock(0, n, kWidth, x, y);
+    w.laplacian.MatVecRowsPanel(0, n, kWidth, x.data(), kWidth, y.data(),
+                                kWidth);
     x.swap(y);
   }
   const double cold_ms = timer.ElapsedSeconds() * 1e3;
 
   // Bit-identity check against the scalar kernel, off the clock.
-  w.laplacian.MatVecRowsBlock(0, n, kWidth, x0, y);
+  w.laplacian.MatVecRowsPanel(0, n, kWidth, x0.data(), kWidth, y.data(),
+                              kWidth);
   double worst = 0.0;
   Vector xc(static_cast<size_t>(n));
   Vector yc(static_cast<size_t>(n));
@@ -260,28 +261,31 @@ void RunReorthMicrobench(const Workload& w, TablePrinter& table) {
   constexpr int kReps = 10;
   const int64_t n = w.laplacian.rows();
   Rng rng(0x0c7a90);
-  VectorBlock master(kCols, Vector(static_cast<size_t>(n)));
-  for (Vector& col : master) {
-    for (double& v : col) v = rng.UniformDouble(-1.0, 1.0);
+  PackedBasis master;
+  master.Reset(n, kCols);
+  for (int64_t c = 0; c < kCols; ++c) {
+    for (int64_t r = 0; r < n; ++r) {
+      master.at(r, c) = rng.UniformDouble(-1.0, 1.0);
+    }
   }
 
   int64_t panels = 0;
   int64_t rank = 0;
-  VectorBlock q;
+  PackedBasis q;
   WallTimer timer;
   for (int r = 0; r < kReps; ++r) {
-    VectorBlock block = master;
-    rank = OrthonormalizeBlock(block, /*drop_tol=*/1e-10, nullptr, &panels);
-    if (r + 1 == kReps) q = std::move(block);
+    q = master;
+    rank = OrthonormalizeColumns(q, 0, kCols, /*drop_tol=*/1e-10, nullptr,
+                                 &panels);
   }
   const double cold_ms = timer.ElapsedSeconds() * 1e3;
   SPECTRAL_CHECK_EQ(rank, kCols);
 
   double worst = 0.0;
-  for (size_t i = 0; i < q.size(); ++i) {
-    for (size_t j = i; j < q.size(); ++j) {
+  for (int64_t i = 0; i < kCols; ++i) {
+    for (int64_t j = i; j < kCols; ++j) {
       const double expect = i == j ? 1.0 : 0.0;
-      worst = std::max(worst, std::fabs(Dot(q[i], q[j]) - expect));
+      worst = std::max(worst, std::fabs(DotColumns(q, i, q, j) - expect));
     }
   }
 

@@ -49,17 +49,8 @@ StatusOr<FiedlerResult> ComputeFiedlerMultilevel(
 
   // Full-accuracy warm-started solve at the finest level: identical
   // contract (and, by construction, identical orders downstream) to the
-  // flat ComputeFiedler call it replaces. A forced kDense only ever meant
-  // "dense reference at the coarsest level" in the multilevel cascade
-  // (the warm start already honored that); letting it through here would
-  // dense-solve the *finest* level at O(n^3) and discard the warm start,
-  // so above the dense threshold it maps to the block path.
-  FiedlerOptions fine_options = options.fiedler;
-  if (fine_options.method == FiedlerMethod::kDense &&
-      n > fine_options.dense_threshold) {
-    fine_options.method = FiedlerMethod::kBlockLanczos;
-  }
-  auto fine = ComputeFiedler(levels[0].laplacian, fine_options,
+  // flat ComputeFiedler call it replaces.
+  auto fine = ComputeFiedler(levels[0].laplacian, options.fiedler,
                              canonical_axes, &warm->block);
   if (!fine.ok()) return fine.status();
 

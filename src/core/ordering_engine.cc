@@ -29,21 +29,6 @@ Status CheckRequest(const OrderingRequest& request, std::string_view engine) {
   return OkStatus();
 }
 
-// The spectral configuration a request resolves to: the request's affinity
-// edges are appended to any configured ones, and the multilevel engine
-// applies its default threshold when the request leaves it unset.
-SpectralLpmOptions EffectiveSpectralOptions(const OrderingRequest& request,
-                                            bool multilevel_engine) {
-  SpectralLpmOptions spectral = request.options.spectral;
-  if (multilevel_engine && spectral.multilevel_threshold <= 0) {
-    spectral.multilevel_threshold = request.options.multilevel_default_threshold;
-  }
-  spectral.affinity_edges.insert(spectral.affinity_edges.end(),
-                                 request.affinity_edges.begin(),
-                                 request.affinity_edges.end());
-  return spectral;
-}
-
 OrderingResult FromSpectralResult(SpectralLpmResult result) {
   OrderingResult out;
   out.order = std::move(result.order);
@@ -76,20 +61,20 @@ OrderingResult FromSpectralResult(SpectralLpmResult result) {
   return out;
 }
 
-/// "spectral" and "spectral-multilevel": direct Fiedler-order adapters over
-/// SpectralMapper.
+/// "spectral": the direct Fiedler-order adapter over SpectralMapper. Also
+/// registered as "spectral-multilevel", an alias with no option of its own
+/// (the multilevel cascade is the warm start of every large component);
+/// wire clients and committed baselines still address it by that name.
 class SpectralEngine : public OrderingEngine {
  public:
-  explicit SpectralEngine(bool multilevel)
-      : name_(multilevel ? kSpectralMultilevelName : kSpectralName),
-        multilevel_(multilevel) {}
+  explicit SpectralEngine(std::string_view name) : name_(name) {}
 
   std::string_view name() const override { return name_; }
   bool supports_graph_input() const override { return true; }
 
   StatusOr<OrderingResult> Order(const OrderingRequest& request) const override {
     if (Status s = CheckRequest(request, name_); !s.ok()) return s;
-    const SpectralMapper mapper(EffectiveSpectralOptions(request, multilevel_));
+    const SpectralMapper mapper(request.EffectiveSpectralOptions());
     auto result = request.input == OrderingInputKind::kGraph
                       ? mapper.MapGraph(*request.graph, request.points.get())
                       : mapper.Map(*request.points);
@@ -99,7 +84,6 @@ class SpectralEngine : public OrderingEngine {
 
  private:
   std::string_view name_;
-  bool multilevel_;
 };
 
 /// "bisection": recursive spectral median-cut adapter.
@@ -111,7 +95,7 @@ class BisectionEngine : public OrderingEngine {
   StatusOr<OrderingResult> Order(const OrderingRequest& request) const override {
     if (Status s = CheckRequest(request, kBisectionName); !s.ok()) return s;
     RecursiveBisectionOptions options = request.options.bisection;
-    options.base = EffectiveSpectralOptions(request, /*multilevel_engine=*/false);
+    options.base = request.EffectiveSpectralOptions();
     auto result =
         request.input == OrderingInputKind::kGraph
             ? RecursiveSpectralOrderGraph(*request.graph, request.points.get(),
@@ -182,13 +166,10 @@ std::vector<std::string> AllOrderingEngineNames() {
 
 StatusOr<std::unique_ptr<OrderingEngine>> MakeOrderingEngine(
     std::string_view name) {
-  if (name == kSpectralName) {
+  if (name == kSpectralName || name == kSpectralMultilevelName) {
     return std::unique_ptr<OrderingEngine>(
-        new SpectralEngine(/*multilevel=*/false));
-  }
-  if (name == kSpectralMultilevelName) {
-    return std::unique_ptr<OrderingEngine>(
-        new SpectralEngine(/*multilevel=*/true));
+        new SpectralEngine(name == kSpectralName ? kSpectralName
+                                                 : kSpectralMultilevelName));
   }
   if (name == kShardedSpectralEngineName) {
     return MakeShardedSpectralEngine();

@@ -77,8 +77,7 @@ void HashSpectralOptions(Hasher& h, const SpectralLpmOptions& o) {
       .MixDouble(o.graph.gaussian_sigma)
       .MixBool(o.canonicalize_with_axes)
       .MixDouble(o.rank_quantum_rel)
-      .MixInt(o.warm_start_threshold)
-      .MixInt(o.multilevel_threshold);
+      .MixInt(o.warm_start_threshold);
   HashEdges(h, o.affinity_edges);
   HashFiedlerOptions(h, o.fiedler);
   HashMultilevelOptions(h, o.multilevel);
@@ -96,13 +95,11 @@ void HashSpectralOptions(Hasher& h, const SpectralLpmOptions& o) {
 void HashEngineOptions(Hasher& h, std::string_view engine,
                        const OrderingEngineOptions& o) {
   if (CurveKindFromName(engine).ok()) return;  // geometry-only engines
-  const bool multilevel = engine == "spectral-multilevel";
   const bool bisection = engine == "bisection";
   const bool sharded = engine == "sharded-spectral";
-  const bool known =
-      engine == "spectral" || multilevel || bisection || sharded;
+  const bool known = engine == "spectral" ||
+                     engine == "spectral-multilevel" || bisection || sharded;
   HashSpectralOptions(h, o.spectral);
-  if (multilevel || !known) h.MixInt(o.multilevel_default_threshold);
   if (bisection || !known) {
     h.MixInt(o.bisection.leaf_size).MixInt(o.bisection.max_depth);
   }
@@ -228,6 +225,13 @@ int64_t OrderingRequest::InputSize() const {
     return graph == nullptr ? 0 : graph->num_vertices();
   }
   return points == nullptr ? 0 : points->size();
+}
+
+SpectralLpmOptions OrderingRequest::EffectiveSpectralOptions() const {
+  SpectralLpmOptions spectral = options.spectral;
+  spectral.affinity_edges.insert(spectral.affinity_edges.end(),
+                                 affinity_edges.begin(), affinity_edges.end());
+  return spectral;
 }
 
 }  // namespace spectral

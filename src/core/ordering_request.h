@@ -55,9 +55,6 @@ struct OrderingEngineOptions {
   /// Graph build + eigensolver configuration for the spectral family (also
   /// the `base` of bisection). `parallelism` and `pool` live here.
   SpectralLpmOptions spectral;
-  /// multilevel_threshold used by "spectral-multilevel" when
-  /// spectral.multilevel_threshold is 0 (the flat engine's default).
-  int64_t multilevel_default_threshold = 256;
   /// Recursion shape for "bisection"; its `base` member is ignored in favor
   /// of `spectral` above.
   RecursiveBisectionOptions bisection;
@@ -148,6 +145,10 @@ struct OrderingRequest {
   /// Number of input vertices (points or graph vertices); 0 when the
   /// payload is missing. MappingService schedules batches largest-first.
   int64_t InputSize() const;
+
+  /// The configuration the spectral family solves with: options.spectral
+  /// with this request's affinity edges appended to any configured ones.
+  SpectralLpmOptions EffectiveSpectralOptions() const;
 };
 
 }  // namespace spectral

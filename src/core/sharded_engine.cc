@@ -22,16 +22,6 @@ namespace spectral {
 
 namespace {
 
-// Mirrors the spectral engine's effective-option resolution: the request's
-// affinity edges are appended to any configured ones.
-SpectralLpmOptions EffectiveSpectralOptions(const OrderingRequest& request) {
-  SpectralLpmOptions spectral = request.options.spectral;
-  spectral.affinity_edges.insert(spectral.affinity_edges.end(),
-                                 request.affinity_edges.begin(),
-                                 request.affinity_edges.end());
-  return spectral;
-}
-
 // The spectral configuration every sub-request carries: affinity edges are
 // already merged into the working graph and the pool is a runtime field the
 // executor (service or local loop) provides. Keeping sub-options canonical
@@ -188,7 +178,7 @@ class ShardedSpectralEngine : public OrderingEngine {
       return InvalidArgumentError("sharded-spectral: num_shards must be >= 1");
     }
 
-    const SpectralLpmOptions spectral = EffectiveSpectralOptions(request);
+    const SpectralLpmOptions spectral = request.EffectiveSpectralOptions();
     const PointSet* points = request.points.get();
 
     // Resolve the working graph the shards cut up. kGraph requests use the

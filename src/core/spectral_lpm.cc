@@ -142,22 +142,19 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
     if (m <= 1) return;
 
     const Graph sub = Graph::FromEdges(m, comp_edges[static_cast<size_t>(c)]);
-    // Warm-started multilevel path for big components (either threshold):
-    // one hierarchy build feeds the coarsest dense solve, the
-    // prolong/smooth ascent, and the full-accuracy fine block solve, so
-    // the exact engine converges at near-multilevel speed with the same
-    // order as a cold solve. warm_start_threshold only auto-triggers when
-    // the fine solve would take the block path anyway; an explicitly
-    // forced kDense/kLanczos stays flat (those are the reference engines).
+    // Warm-started multilevel path for big components: one hierarchy build
+    // feeds the coarsest dense solve, the prolong/smooth ascent, and the
+    // full-accuracy fine block solve, so the exact engine converges at
+    // near-multilevel speed with the same order as a cold solve. It only
+    // triggers when the fine solve would take the block path anyway; an
+    // explicitly forced kDense/kLanczos stays flat (those are the
+    // reference engines).
     const bool block_capable =
         options_.fiedler.method == FiedlerMethod::kBlockLanczos ||
         (options_.fiedler.method == FiedlerMethod::kAuto &&
          m > options_.fiedler.dense_threshold);
-    const bool use_warm =
-        (options_.multilevel_threshold > 0 &&
-         m >= options_.multilevel_threshold) ||
-        (block_capable && options_.warm_start_threshold > 0 &&
-         m >= options_.warm_start_threshold);
+    const bool use_warm = block_capable && options_.warm_start_threshold > 0 &&
+                          m >= options_.warm_start_threshold;
     std::vector<Vector> axes;
     if (points != nullptr && options_.canonicalize_with_axes) {
       PointSet sub_points(points->dims());

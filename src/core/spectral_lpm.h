@@ -57,13 +57,6 @@ struct SpectralLpmOptions {
   /// fraction of the matvec/reorthogonalization cost. 0 disables warm
   /// starts (cold block solves everywhere).
   int64_t warm_start_threshold = 256;
-  /// Legacy trigger for the "spectral-multilevel" engine: components with
-  /// at least this many vertices also take the warm-started path. Since
-  /// the fine solve now polishes to full accuracy and canonicalizes with
-  /// the axes, this path produces the *same order* as the flat engine —
-  /// the two knobs differ only in who sets them. 0 leaves the decision to
-  /// warm_start_threshold.
-  int64_t multilevel_threshold = 0;
   /// Hierarchy/smoothing shape for the warm-started path. Its embedded
   /// FiedlerOptions is ignored here: `fiedler` above governs the finest
   /// solve on every path.

@@ -27,8 +27,8 @@ struct RitzInfo {
 // packed prefix [0, cur) until `v` has `width` live columns. Returns the
 // new column count, or -1 if no such direction can be constructed (the
 // complement is exhausted). RNG draw order and per-column arithmetic are
-// exactly the unpacked PadBlockRandom's, so the same seed yields the same
-// columns. The orthogonalization work is billed to profile.reorth_*.
+// fixed, so the same seed yields the same columns. The orthogonalization
+// work is billed to profile.reorth_*.
 int64_t PadPackedRandom(int64_t n, int64_t width,
                         std::span<const Vector> deflate,
                         const VectorBlock& locked, PackedBasis& v,

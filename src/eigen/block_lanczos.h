@@ -5,7 +5,7 @@
 // eigen/lanczos.h for the scalar path this replaces on the Fiedler driver).
 //
 // Per restart cycle the solver grows a block Krylov basis V = [X, AX~,
-// A^2 X~, ...] with fused full reorthogonalization (linalg/block_ops.h),
+// A^2 X~, ...] with fused full reorthogonalization (linalg/packed_basis.h),
 // Rayleigh-Ritzes the projected matrix V^T A V (dense Jacobi; the basis is
 // small), locks converged Ritz pairs into the deflation set in descending
 // order, and restarts from the best unconverged Ritz block. Between
@@ -55,7 +55,7 @@
 
 #include "eigen/kernel_profile.h"
 #include "eigen/operator.h"
-#include "linalg/block_ops.h"
+#include "linalg/packed_basis.h"
 #include "linalg/vector_ops.h"
 #include "util/status.h"
 
@@ -116,7 +116,7 @@ struct BlockLanczosResult {
   /// columns on average — the SpMM amortization factor).
   int64_t spmm_calls = 0;
   /// Reorthogonalization panel-kernel applications (passes x panels x
-  /// columns, see linalg/block_ops.h).
+  /// columns, see linalg/packed_basis.h).
   int64_t reorth_panels = 0;
   /// Restart cycles consumed.
   int restarts = 0;

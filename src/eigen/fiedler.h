@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "eigen/kernel_profile.h"
-#include "linalg/block_ops.h"
+#include "linalg/packed_basis.h"
 #include "linalg/sparse_matrix.h"
 #include "linalg/vector_ops.h"
 #include "util/status.h"
@@ -137,7 +137,7 @@ struct FiedlerResult {
   /// column amortization the fused kernel achieved.
   int64_t spmm_calls = 0;
   /// Reorthogonalization panel-kernel applications by the block path
-  /// (see linalg/block_ops.h).
+  /// (see linalg/packed_basis.h).
   int64_t reorth_panels = 0;
   /// Restart cycles consumed by the iterative paths (summed over the
   /// sequential solves for kLanczos).

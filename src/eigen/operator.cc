@@ -1,52 +1,11 @@
 #include "eigen/operator.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace spectral {
-
-void LinearOperator::ApplyBlock(int64_t width, std::span<const double> x,
-                                std::span<double> y) const {
-  const int64_t n = Dim();
-  SPECTRAL_CHECK_GE(width, 1);
-  SPECTRAL_CHECK_EQ(static_cast<int64_t>(x.size()), n * width);
-  SPECTRAL_CHECK_EQ(static_cast<int64_t>(y.size()), n * width);
-  std::vector<double> xc(static_cast<size_t>(n));
-  std::vector<double> yc(static_cast<size_t>(n));
-  for (int64_t c = 0; c < width; ++c) {
-    for (int64_t j = 0; j < n; ++j) {
-      xc[static_cast<size_t>(j)] = x[static_cast<size_t>(j * width + c)];
-    }
-    Apply(xc, yc);
-    for (int64_t j = 0; j < n; ++j) {
-      y[static_cast<size_t>(j * width + c)] = yc[static_cast<size_t>(j)];
-    }
-  }
-}
-
-void LinearOperator::ApplyPanel(int64_t width, const double* x, int64_t x_ld,
-                                double* y, int64_t y_ld) const {
-  const int64_t n = Dim();
-  SPECTRAL_CHECK_GE(width, 1);
-  SPECTRAL_CHECK_GE(x_ld, width);
-  SPECTRAL_CHECK_GE(y_ld, width);
-  std::vector<double> xb(static_cast<size_t>(n * width));
-  std::vector<double> yb(static_cast<size_t>(n * width));
-  for (int64_t j = 0; j < n; ++j) {
-    for (int64_t c = 0; c < width; ++c) {
-      xb[static_cast<size_t>(j * width + c)] = x[j * x_ld + c];
-    }
-  }
-  ApplyBlock(width, xb, yb);
-  for (int64_t j = 0; j < n; ++j) {
-    for (int64_t c = 0; c < width; ++c) {
-      y[j * y_ld + c] = yb[static_cast<size_t>(j * width + c)];
-    }
-  }
-}
 
 SparseOperator::SparseOperator(const SparseMatrix* matrix, ThreadPool* pool,
                                int64_t min_parallel_rows)
@@ -76,26 +35,6 @@ void SparseOperator::Apply(std::span<const double> x,
   });
 }
 
-void SparseOperator::ApplyBlock(int64_t width, std::span<const double> x,
-                                std::span<double> y) const {
-  const int64_t rows = matrix_->rows();
-  if (pool_ == nullptr || pool_->num_threads() < 2 ||
-      rows < min_parallel_rows_) {
-    matrix_->MatVecRowsBlock(0, rows, width, x, y);
-    return;
-  }
-  // Same row partition as Apply: each output row is accumulated by exactly
-  // one thread in the serial order, so the result is bit-identical to the
-  // serial SpMM (and hence to per-column MatVec) for any pool size.
-  const int64_t num_chunks = pool_->num_threads() + 1;
-  const int64_t chunk_rows = (rows + num_chunks - 1) / num_chunks;
-  pool_->ParallelFor(0, num_chunks, 1, [&](int64_t chunk) {
-    const int64_t first = chunk * chunk_rows;
-    const int64_t last = std::min(rows, first + chunk_rows);
-    if (first < last) matrix_->MatVecRowsBlock(first, last, width, x, y);
-  });
-}
-
 void SparseOperator::ApplyPanel(int64_t width, const double* x, int64_t x_ld,
                                 double* y, int64_t y_ld) const {
   const int64_t rows = matrix_->rows();
@@ -104,9 +43,9 @@ void SparseOperator::ApplyPanel(int64_t width, const double* x, int64_t x_ld,
     matrix_->MatVecRowsPanel(0, rows, width, x, x_ld, y, y_ld);
     return;
   }
-  // Same row partition as Apply/ApplyBlock: each output row is accumulated
-  // by exactly one thread in the serial order, so the result is
-  // bit-identical to the serial strided SpMM for any pool size.
+  // Same row partition as Apply: each output row is accumulated by exactly
+  // one thread in the serial order, so the result is bit-identical to the
+  // serial SpMM (and hence to per-column MatVec) for any pool size.
   const int64_t num_chunks = pool_->num_threads() + 1;
   const int64_t chunk_rows = (rows + num_chunks - 1) / num_chunks;
   pool_->ParallelFor(0, num_chunks, 1, [&](int64_t chunk) {
@@ -136,18 +75,6 @@ void ShiftNegateOperator::Apply(std::span<const double> x,
   }
 }
 
-void ShiftNegateOperator::ApplyBlock(int64_t width, std::span<const double> x,
-                                     std::span<double> y) const {
-  inner_->ApplyBlock(width, x, y);
-  const double shift = shift_;
-  const double* __restrict xr = x.data();
-  double* __restrict yw = y.data();
-  const size_t total = y.size();
-  for (size_t i = 0; i < total; ++i) {
-    yw[i] = shift * xr[i] - yw[i];
-  }
-}
-
 void ShiftNegateOperator::ApplyPanel(int64_t width, const double* x,
                                      int64_t x_ld, double* y,
                                      int64_t y_ld) const {
@@ -155,7 +82,7 @@ void ShiftNegateOperator::ApplyPanel(int64_t width, const double* x,
   const double shift = shift_;
   const int64_t n = inner_->Dim();
   // Element-wise, so the row/column walk order is irrelevant to the
-  // result; matches ApplyBlock's flat loop value for value.
+  // result: each entry matches Apply's shift * x[i] - y[i] exactly.
   for (int64_t j = 0; j < n; ++j) {
     const double* xr = x + j * x_ld;
     double* yw = y + j * y_ld;

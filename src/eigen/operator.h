@@ -30,23 +30,15 @@ class LinearOperator {
   /// y = A x; x and y have size Dim() and must not alias.
   virtual void Apply(std::span<const double> x, std::span<double> y) const = 0;
 
-  /// Multi-vector apply on packed row-major blocks of `width` columns
-  /// (x[j * width + c] is column c of row j): y_c = A x_c for every c.
-  /// The default unpacks and calls Apply() per column; subclasses override
-  /// with a fused kernel. Results must be bit-identical to `width`
+  /// Multi-vector apply on row-major panels with arbitrary leading
+  /// dimensions (x[j * x_ld + c] is column c of row j, c < width <= x_ld;
+  /// a contiguous block is ld == width): y_c = A x_c for every c. Consumes
+  /// a panel of a larger packed basis (linalg/packed_basis.h) in place.
+  /// The single block primitive: results must be bit-identical to `width`
   /// independent Apply() calls — the block eigensolver's byte-identity
   /// contract across parallelism levels depends on it.
-  virtual void ApplyBlock(int64_t width, std::span<const double> x,
-                          std::span<double> y) const;
-
-  /// Strided multi-vector apply on packed panels with arbitrary leading
-  /// dimensions (x[j * x_ld + c] is column c of row j, c < width <= x_ld):
-  /// consumes a panel of a larger packed basis (linalg/packed_basis.h) in
-  /// place. The default packs into a dense block, calls ApplyBlock, and
-  /// unpacks; subclasses override with a truly strided kernel. The same
-  /// bit-identity contract as ApplyBlock applies.
   virtual void ApplyPanel(int64_t width, const double* x, int64_t x_ld,
-                          double* y, int64_t y_ld) const;
+                          double* y, int64_t y_ld) const = 0;
 
   /// Deterministic flop count of one Apply() (2 flops per stored nonzero
   /// plus any transformation overhead); 0 when unknown. Feeds the kernel
@@ -70,11 +62,7 @@ class SparseOperator : public LinearOperator {
   int64_t Dim() const override;
   void Apply(std::span<const double> x, std::span<double> y) const override;
   /// One pass over the CSR structure serves all `width` columns
-  /// (MatVecRowsBlock), row-partitioned over the pool like Apply.
-  void ApplyBlock(int64_t width, std::span<const double> x,
-                  std::span<double> y) const override;
-  /// Strided SpMM (MatVecRowsPanel), row-partitioned over the pool like
-  /// Apply/ApplyBlock.
+  /// (MatVecRowsPanel), row-partitioned over the pool like Apply.
   void ApplyPanel(int64_t width, const double* x, int64_t x_ld, double* y,
                   int64_t y_ld) const override;
   int64_t FlopsPerApply() const override;
@@ -95,8 +83,6 @@ class ShiftNegateOperator : public LinearOperator {
 
   int64_t Dim() const override;
   void Apply(std::span<const double> x, std::span<double> y) const override;
-  void ApplyBlock(int64_t width, std::span<const double> x,
-                  std::span<double> y) const override;
   void ApplyPanel(int64_t width, const double* x, int64_t x_ld, double* y,
                   int64_t y_ld) const override;
   int64_t FlopsPerApply() const override;

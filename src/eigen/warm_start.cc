@@ -8,6 +8,7 @@
 #include "eigen/jacobi.h"
 #include "eigen/operator.h"
 #include "linalg/dense_matrix.h"
+#include "linalg/packed_basis.h"
 #include "util/check.h"
 
 namespace spectral {
@@ -162,10 +163,21 @@ StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
     }
     JacobiSmoothBlock(lap, options.smooth_steps, options.jacobi_omega, block,
                       result.matvecs);
-    std::vector<Vector> kernel;
-    kernel.push_back(OnesKernel(n));
-    OrthogonalizeBlockAgainst(kernel, block);
-    OrthonormalizeBlock(block);
+    // Project out the all-ones kernel and re-orthonormalize on the packed
+    // kernels; survivors keep their order.
+    const int64_t cols = static_cast<int64_t>(block.size());
+    PackedBasis packed;
+    packed.Reset(n, cols);
+    for (int64_t c = 0; c < cols; ++c) {
+      packed.CopyColumnIn(block[static_cast<size_t>(c)], c);
+    }
+    const Vector kernel[] = {OnesKernel(n)};
+    OrthogonalizeColumnsAgainstBlock(kernel, packed, 0, cols);
+    const int64_t rank = OrthonormalizeColumns(packed, 0, cols);
+    block.resize(static_cast<size_t>(rank));
+    for (int64_t c = 0; c < rank; ++c) {
+      packed.CopyColumnOut(c, block[static_cast<size_t>(c)]);
+    }
     if (block.empty()) break;  // degenerate smoothing collapse: cold start
     if (k > 0 && options.level_max_restarts > 0 && options.level_tol > 0) {
       PolishBlock(lap, options, block, result.matvecs);

@@ -10,9 +10,9 @@
 // graph-Laplacians), which is why the finest solve then merely polishes.
 //
 // This unit is deliberately graph-agnostic: it consumes per-level
-// Laplacians plus fine-to-coarse index maps. core/ assembles those from
-// graph/coarsening.h's BuildCoarseningHierarchy so the multilevel engine
-// and the exact solver share one hierarchy build.
+// Laplacians plus fine-to-coarse index maps. core/multilevel.cc assembles
+// those from graph/coarsening.h's BuildCoarseningHierarchy, one hierarchy
+// build per warm-started component of the spectral engine.
 
 #ifndef SPECTRAL_LPM_EIGEN_WARM_START_H_
 #define SPECTRAL_LPM_EIGEN_WARM_START_H_
@@ -21,7 +21,7 @@
 #include <span>
 #include <vector>
 
-#include "linalg/block_ops.h"
+#include "linalg/packed_basis.h"
 #include "linalg/sparse_matrix.h"
 #include "util/status.h"
 

@@ -10,12 +10,14 @@
 namespace spectral {
 namespace {
 
-// Strided twin of block_ops' ApplyPanelFixed when the basis panel lives in
-// the packed buffer itself: lanes [b0, b0 + PW) are contiguous per row, so
-// one row pointer serves all PW coefficients. Accumulation order per
-// coefficient (ascending row) and per element (ascending lane) is exactly
-// the unpacked kernel's, so the arithmetic never changes. No __restrict:
-// the target column aliases the same buffer (disjoint lanes).
+// One panel of the BCGS2 projection when the basis panel lives in the
+// packed buffer itself: a fused Gram pass (all PW coefficients in one
+// stream over x) followed by a fused multi-AXPY update. Lanes
+// [b0, b0 + PW) are contiguous per row, so one row pointer serves all PW
+// coefficients; the compile-time width keeps coefficients in registers.
+// Accumulation is ascending-row per coefficient and ascending-lane per
+// element, the same for every PW. No __restrict: the target column
+// aliases the same buffer (disjoint lanes).
 template <int PW>
 void PanelProjectPackedFixed(double* data, int64_t ld, int64_t n, int64_t b0,
                              int64_t xc) {
@@ -89,9 +91,9 @@ void PanelProjectVectors(std::span<const Vector> basis, size_t p0, size_t pw,
   }
 }
 
-// Column dispatch mirroring block_ops' ForEachColumn: one task owns one
-// output column end to end, and small blocks skip the pool (same
-// kMinParallelWork gate), so results never depend on the pool size.
+// Column dispatch: one task owns one output column end to end, and small
+// blocks skip the pool (kMinParallelWork), so results never depend on the
+// pool size.
 void ForEachColumn(ThreadPool* pool, int64_t cols, int64_t column_size,
                    const std::function<void(int64_t)>& fn) {
   if (pool != nullptr && pool->num_threads() >= 2 && cols >= 2 &&
@@ -265,8 +267,8 @@ int64_t OrthonormalizeColumns(PackedBasis& v, int64_t b0, int64_t count,
     next += pw;
     OrthogonalizeColumnsAgainstColumns(v, b0, kept, b0 + kept, pw, pool,
                                        panels, flops);
-    // Small in-panel factorization: two-pass MGS with rank drops, exactly
-    // OrthonormalizeBlock's inner loop on strided columns.
+    // Small in-panel factorization: two-pass MGS with rank drops. The
+    // panel is at most kReorthPanelWidth wide, so this stays serial.
     int64_t panel_kept = kept;
     for (int64_t j = kept; j < kept + pw; ++j) {
       for (int pass = 0; pass < 2; ++pass) {

@@ -1,7 +1,10 @@
 // Packed column-panel storage for block Krylov bases, plus the strided
 // kernels that let the whole block Lanczos iteration (growth, BCGS2
 // reorthogonalization, Rayleigh-Ritz H-fill, Chebyshev filtering) run
-// directly on the packed layout with zero pack/unpack round trips.
+// directly on the packed layout with zero pack/unpack round trips. These
+// are the only block kernels in the library; unpacked VectorBlocks appear
+// only at API boundaries (warm starts, deflation and locked sets) and are
+// packed before any blocked kernel touches them.
 //
 // Layout: row-major with a fixed leading dimension (`ld`) chosen once at
 // Reset() time — element (row r, column c) lives at data[r * ld + c], so
@@ -10,14 +13,23 @@
 // Gram/multi-AXPY kernels consume, which is what makes the basis storage
 // itself the SpMM operand: growing the basis never copies a column.
 //
-// Numerical contract: every kernel in this header reproduces, bit for
-// bit, the arithmetic of the corresponding vector_ops.h / block_ops.h
-// kernel on std::vector<Vector> columns — same accumulation order
-// (ascending row index per coefficient, ascending panel lane per
-// element), same two-pass BCGS2 structure, same drop rules. Parallelism
-// is only ever across independent output columns, gated by the shared
-// kMinParallelWork threshold, so results are byte-identical for any pool
-// size including none.
+// Kernel shape: two-pass block classical Gram-Schmidt (BCGS2, "twice is
+// enough") over cache-blocked panels of kReorthPanelWidth basis columns.
+// For each panel a column is streamed exactly twice — once to form the
+// panel Gram coefficients, once for the fused multi-AXPY update — so the
+// basis traffic per column drops from 2 passes *per basis vector* to
+// 2 passes *per panel of 8*.
+//
+// Numerical contract: the single-column kernels reproduce, bit for bit,
+// the arithmetic of the corresponding vector_ops.h kernel — same
+// accumulation order (ascending row index per coefficient, ascending
+// panel lane per element). Parallelism is only ever across independent
+// output columns, gated by kMinParallelWork, so results are
+// byte-identical for any pool size including none. The pool is a runtime
+// resource, not part of any result: callers thread the single shared
+// worker set down from SpectralLpmOptions::pool and never spawn nested
+// pools (ThreadPool::ParallelFor is nest-safe — the caller participates
+// and degrades to serial when workers are busy).
 
 #ifndef SPECTRAL_LPM_LINALG_PACKED_BASIS_H_
 #define SPECTRAL_LPM_LINALG_PACKED_BASIS_H_
@@ -26,11 +38,23 @@
 #include <span>
 #include <vector>
 
-#include "linalg/block_ops.h"
 #include "linalg/vector_ops.h"
 #include "util/thread_pool.h"
 
 namespace spectral {
+
+/// A block of equal-length column vectors, unpacked: the interchange
+/// format at the solver API boundaries.
+using VectorBlock = std::vector<Vector>;
+
+/// Basis columns per cache-blocked panel. Eight doubles of Gram
+/// coefficients live in registers while eight basis columns stay hot in
+/// L1/L2 across the fused Gram + update passes.
+inline constexpr int64_t kReorthPanelWidth = 8;
+
+/// Blocks below this total element count run serially: the panel kernels
+/// finish faster than the pool's wake-up latency.
+inline constexpr int64_t kMinParallelWork = int64_t{1} << 14;
 
 /// A block of equal-length column vectors stored as one contiguous
 /// row-major buffer with a fixed leading dimension. Columns are cheap
@@ -120,10 +144,12 @@ void OrthogonalizeVectorAgainstColumns(const PackedBasis& v, int64_t cols,
                                        std::span<double> x);
 
 /// Removes from packed columns [block0, block0 + block_cols) of `v` their
-/// components along each (assumed unit-norm) contiguous vector in `basis`.
-/// Bit-identical twin of OrthogonalizeBlockAgainst() on unpacked columns;
-/// `panels` counts panel-kernel applications with the same convention and
-/// `flops` accumulates the deterministic flop estimate.
+/// components along each (assumed unit-norm) contiguous vector in `basis`:
+/// two passes of panel-blocked classical Gram-Schmidt, columns processed
+/// independently (optionally in parallel on `pool`). If `panels` is
+/// non-null it is incremented by the number of panel-kernel applications
+/// (passes x panels x columns) — the work unit reported in FiedlerResult
+/// diagnostics; `flops` accumulates the deterministic flop estimate.
 void OrthogonalizeColumnsAgainstBlock(std::span<const Vector> basis,
                                       PackedBasis& v, int64_t block0,
                                       int64_t block_cols,
@@ -140,10 +166,14 @@ void OrthogonalizeColumnsAgainstColumns(PackedBasis& v, int64_t basis0,
                                         int64_t* panels = nullptr,
                                         int64_t* flops = nullptr);
 
-/// Orthonormalizes packed columns [b0, b0 + count) of `v` in place with
-/// OrthonormalizeBlock()'s exact algorithm (panel consumption, two-pass
-/// in-panel MGS, drop rule, survivor compaction by column copies).
-/// Returns the resulting rank; survivors end up at [b0, b0 + rank).
+/// Orthonormalizes packed columns [b0, b0 + count) of `v` in place:
+/// incoming columns are consumed in panels of kReorthPanelWidth, each
+/// panel is orthogonalized against the kept prefix with the blocked kernel
+/// above, then factored by a small in-panel two-pass MGS. Columns whose
+/// norm collapses below `drop_tol` are numerically dependent and are
+/// dropped; the survivors keep their relative order (compacted by column
+/// copies). Returns the resulting rank; survivors end up at
+/// [b0, b0 + rank).
 int64_t OrthonormalizeColumns(PackedBasis& v, int64_t b0, int64_t count,
                               double drop_tol = 1e-10,
                               ThreadPool* pool = nullptr,

@@ -55,9 +55,11 @@ class SparseMatrix {
   void MatVecRows(int64_t first, int64_t last, std::span<const double> x,
                   std::span<double> y) const;
 
-  /// Multi-vector matvec (SpMM) on packed row-major blocks: `x` and `y`
-  /// hold `width` column values per row (x[j * width + c] is column c of
-  /// row j). Computes y[i * width + c] = (A x_c)[i] for rows i in
+  /// Multi-vector matvec (SpMM) on row-major panels with arbitrary leading
+  /// dimensions: x[j * x_ld + c] is column c of row j (c < width <= x_ld),
+  /// likewise y with y_ld; a contiguous block is the case ld == width, and
+  /// a panel of a larger packed basis (linalg/packed_basis.h) is consumed
+  /// in place. Computes y[i * y_ld + c] = (A x_c)[i] for rows i in
   /// [first, last) in ONE pass over the matrix — each row's nonzeros are
   /// loaded once and applied to all `width` columns, which is what makes
   /// block-Krylov matvecs memory-bound on the block, not the matrix. Per
@@ -66,15 +68,6 @@ class SparseMatrix {
   /// independent MatVec calls, and a row partition of [0, rows)
   /// reproduces the serial result bit for bit (the parallel block
   /// operator in eigen/operator.h builds on this).
-  void MatVecRowsBlock(int64_t first, int64_t last, int64_t width,
-                       std::span<const double> x, std::span<double> y) const;
-
-  /// Strided SpMM: like MatVecRowsBlock, but `x` and `y` are raw panels
-  /// with arbitrary leading dimensions (x[j * x_ld + c] is column c of row
-  /// j, c < width <= x_ld), so a panel of a larger packed basis
-  /// (linalg/packed_basis.h) is consumed in place — no pack/unpack copy.
-  /// Per (row, column) the accumulation order is exactly MatVec's, so the
-  /// result is bit-identical to MatVecRowsBlock on a compacted copy.
   void MatVecRowsPanel(int64_t first, int64_t last, int64_t width,
                        const double* x, int64_t x_ld, double* y,
                        int64_t y_ld) const;

@@ -14,7 +14,6 @@
 #include "graph/grid_graph.h"
 #include "graph/laplacian.h"
 #include "linalg/sparse_matrix.h"
-#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace spectral {
@@ -279,38 +278,6 @@ TEST(BlockLanczos, ByteIdenticalAcrossPoolSizes) {
             << "threads=" << threads << " pair=" << k << " row=" << i;
       }
     }
-  }
-}
-
-TEST(BlockOps, OrthonormalizeDropsDependentColumns) {
-  VectorBlock block = {{1.0, 0.0, 0.0},
-                       {2.0, 0.0, 0.0},  // parallel to the first: dropped
-                       {0.0, 1.0, 0.0}};
-  EXPECT_EQ(OrthonormalizeBlock(block), 2);
-  ASSERT_EQ(block.size(), 2u);
-  EXPECT_NEAR(std::fabs(block[0][0]), 1.0, 1e-12);
-  EXPECT_NEAR(std::fabs(block[1][1]), 1.0, 1e-12);
-}
-
-TEST(BlockOps, OrthogonalizeBlockMatchesScalar) {
-  Rng rng(7);
-  std::vector<Vector> basis;
-  Vector b(16);
-  for (double& x : b) x = rng.UniformDouble(-1.0, 1.0);
-  Normalize(b);
-  basis.push_back(b);
-  VectorBlock block(3, Vector(16));
-  for (Vector& col : block) {
-    for (double& x : col) x = rng.UniformDouble(-1.0, 1.0);
-  }
-  VectorBlock scalar = block;
-  OrthogonalizeBlockAgainst(basis, block);
-  for (Vector& col : scalar) OrthogonalizeAgainst(basis, col);
-  for (size_t k = 0; k < block.size(); ++k) {
-    for (size_t i = 0; i < block[k].size(); ++i) {
-      EXPECT_DOUBLE_EQ(block[k][i], scalar[k][i]);
-    }
-    EXPECT_NEAR(Dot(block[k], basis[0]), 0.0, 1e-12);
   }
 }
 

@@ -137,7 +137,7 @@ TEST(Multilevel, MapperIntegrationMatchesFlatOrder) {
   const PointSet points = PointSet::FullGrid(GridSpec({20, 11}));
   auto flat = SpectralMapper().Map(points);
   SpectralLpmOptions ml;
-  ml.multilevel_threshold = 50;
+  ml.warm_start_threshold = 50;
   auto multi = SpectralMapper(ml).Map(points);
   ASSERT_TRUE(flat.ok());
   ASSERT_TRUE(multi.ok());
@@ -177,7 +177,7 @@ TEST(Multilevel, SquareGridOrderMatchesFlatSolve) {
   flat_options.warm_start_threshold = 0;  // cold flat block solve
   SpectralLpmOptions ml_options;
   ml_options.fiedler.num_pairs = 3;
-  ml_options.multilevel_threshold = 50;
+  ml_options.warm_start_threshold = 50;
   auto flat = SpectralMapper(flat_options).Map(points);
   auto multi = SpectralMapper(ml_options).Map(points);
   ASSERT_TRUE(flat.ok());

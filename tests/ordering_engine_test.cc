@@ -253,17 +253,31 @@ TEST(OrderingEngineRegistry, ParallelSolveOnLargeSingleComponent) {
   EXPECT_EQ(serial->matvecs, parallel->matvecs);
 }
 
-TEST(OrderingEngineRegistry, MultilevelEngineAppliesDefaultThreshold) {
-  // 32x32 = 1024 vertices > the 256 default threshold: the multilevel
-  // engine must produce a valid permutation of the same size.
+TEST(OrderingEngineRegistry, MultilevelNameIsAnAliasOfSpectral) {
+  // "spectral-multilevel" is the same engine under a second name: byte-for-
+  // byte the same order, embedding, and diagnostics as "spectral". 32x32 =
+  // 1024 vertices clears the warm-start threshold, so both run the
+  // multilevel cascade.
   const PointSet points = PointSet::FullGrid(GridSpec({32, 32}));
-  auto engine = MakeOrderingEngine("spectral-multilevel");
-  ASSERT_TRUE(engine.ok());
-  auto result = (*engine)->Order(
+  auto spectral = MakeOrderingEngine("spectral");
+  auto alias = MakeOrderingEngine("spectral-multilevel");
+  ASSERT_TRUE(spectral.ok());
+  ASSERT_TRUE(alias.ok());
+  EXPECT_EQ((*alias)->name(), "spectral-multilevel");
+  auto expect =
+      (*spectral)->Order(OrderingRequest::ForPoints(points, "spectral"));
+  auto result = (*alias)->Order(
       OrderingRequest::ForPoints(points, "spectral-multilevel"));
+  ASSERT_TRUE(expect.ok()) << expect.status();
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->order.size(), points.size());
-  EXPECT_GT(result->lambda2, 0.0);
+  EXPECT_TRUE(result->method.rfind("multilevel", 0) == 0) << result->method;
+  ASSERT_EQ(result->order.size(), points.size());
+  for (int64_t i = 0; i < points.size(); ++i) {
+    ASSERT_EQ(result->order.RankOf(i), expect->order.RankOf(i))
+        << "alias order diverged at point " << i;
+  }
+  EXPECT_EQ(result->embedding, expect->embedding);
+  EXPECT_EQ(result->detail, expect->detail);
 }
 
 }  // namespace

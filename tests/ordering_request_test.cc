@@ -136,7 +136,7 @@ TEST(OrderingRequestFingerprint, EverySemanticOptionLayerIsHashed) {
             }),
             base);
   EXPECT_NE(mutated([](OrderingEngineOptions& o) {
-              o.spectral.multilevel_threshold = 512;
+              o.spectral.warm_start_threshold = 512;
             }),
             base);
   EXPECT_NE(mutated([](OrderingEngineOptions& o) {
@@ -162,10 +162,10 @@ TEST(OrderingRequestFingerprint, OnlyTheNamedEnginesOptionsParticipate) {
   // engine never reads must not split the cache key space...
   const PointSet points = MakePoints();
   {
-    // "spectral" ignores the multilevel default and the bisection shape.
+    // "spectral" ignores the bisection and shard shapes.
     const OrderingRequest base_request = OrderingRequest::ForPoints(points);
     OrderingRequest r = base_request;
-    r.options.multilevel_default_threshold = 1024;
+    r.options.sharded.num_shards = 4;
     r.options.bisection.leaf_size = 16;
     r.options.bisection.max_depth = 8;
     EXPECT_EQ(r.Fingerprint(), base_request.Fingerprint());
@@ -198,11 +198,17 @@ TEST(OrderingRequestFingerprint, OnlyTheNamedEnginesOptionsParticipate) {
     EXPECT_EQ(ignored_base.Fingerprint(), base);
   }
   {
+    // "spectral-multilevel" is an alias of "spectral": it reads exactly the
+    // spectral options.
     const OrderingRequest base_request =
         OrderingRequest::ForPoints(points, "spectral-multilevel");
-    OrderingRequest r = base_request;
-    r.options.multilevel_default_threshold = 1024;
-    EXPECT_NE(r.Fingerprint(), base_request.Fingerprint());
+    OrderingRequest warm = base_request;
+    warm.options.spectral.warm_start_threshold = 1024;
+    EXPECT_NE(warm.Fingerprint(), base_request.Fingerprint());
+    OrderingRequest ignored = base_request;
+    ignored.options.sharded.num_shards = 4;
+    ignored.options.bisection.leaf_size = 16;
+    EXPECT_EQ(ignored.Fingerprint(), base_request.Fingerprint());
   }
   {
     // sharded-spectral reads the spectral options plus its shard shape,

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -574,6 +575,56 @@ TEST(OrderingServer, TcpRoundTrip) {
   EXPECT_EQ(reply, "BYE");
   ::close(fd);
   server.Shutdown();
+}
+
+// Multi-segment replies must not wait for the client's delayed ACK. A
+// 64x64 hilbert reply is ~19 KB, several socket writes; with Nagle left on
+// the server side each round trip stalls ~40 ms behind a client that (like
+// most) does not set TCP_QUICKACK.
+TEST(OrderingServer, TcpLargeRepliesDoNotStallOnDelayedAck) {
+  OrderingServerOptions options;
+  options.service.cache_capacity = 8;
+  OrderingServer server(options);
+  auto port = server.StartTcp(0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(*port));
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  FdStreambuf in_buf(fd);
+  FdStreambuf out_buf(fd);
+  std::istream from_server(&in_buf);
+  std::ostream to_server(&out_buf);
+
+  constexpr int kRequests = 24;
+  std::vector<double> round_trip_ms;
+  std::string reply;
+  for (int i = 0; i < kRequests; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    to_server << "ORDER r" << i << " hilbert GRID 64x64\n";
+    to_server.flush();
+    ASSERT_TRUE(static_cast<bool>(std::getline(from_server, reply)));
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    ASSERT_GT(reply.size(), 16384u) << reply.substr(0, 80);
+  }
+  to_server << "QUIT\n";
+  to_server.flush();
+  ASSERT_TRUE(static_cast<bool>(std::getline(from_server, reply)));
+  EXPECT_EQ(reply, "BYE");
+  ::close(fd);
+  server.Shutdown();
+
+  std::sort(round_trip_ms.begin(), round_trip_ms.end());
+  const double median = round_trip_ms[round_trip_ms.size() / 2];
+  EXPECT_LT(median, 20.0) << "median round trip " << median << " ms";
 }
 
 }  // namespace

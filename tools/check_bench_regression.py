@@ -314,14 +314,18 @@ def key_name(key):
 
 def gate_suite(suite, current, args):
     """Diffs one suite; returns the list of failure strings."""
-    baseline = load_rows(suite, os.path.join(args.baseline_dir,
-                                             suite.json_relpath))
+    print(f"\n=== suite: {suite.name} ===")
+    baseline_path = os.path.join(args.baseline_dir, suite.json_relpath)
+    if not os.path.exists(baseline_path):
+        print(f"MISSING BASELINE: {baseline_path}")
+        return [f"{suite.name}: baseline {baseline_path} is missing; "
+                f"commit one (see --help: Updating the baselines)"]
+    baseline = load_rows(suite, baseline_path)
     base_total = sum(
         row[suite.time_field] for row in baseline.values()) or 1.0
     cur_total = sum(row[suite.time_field] for row in current.values()) or 1.0
 
     failures = []
-    print(f"\n=== suite: {suite.name} ===")
     print(f"{'row':44s} {'base_share':>10s} {'cur_share':>10s}  verdict")
     for key, base in sorted(baseline.items()):
         name = key_name(key)

@@ -10,7 +10,6 @@
 //                     --help is generated from the registry itself)
 //   --connectivity=orthogonal|moore      (spectral family only)
 //   --radius=N                           (default 1)
-//   --multilevel=N    use the multilevel solver for components >= N
 //   --shards=K        shard count for --mapping=sharded-spectral (K=1 is
 //                     byte-identical to spectral; K>1 partitions the
 //                     request, solves shards concurrently, stitches)
@@ -51,7 +50,6 @@ struct CliArgs {
   std::string mapping = "spectral";
   GridConnectivity connectivity = GridConnectivity::kOrthogonal;
   int radius = 1;
-  int64_t multilevel = 0;
   int shards = 1;
   int parallelism = 0;
   int64_t cache = 0;
@@ -71,7 +69,7 @@ bool ParseFlag(const std::string& arg, const std::string& name,
 int Usage() {
   std::cerr << "usage: spectral_map_cli <points.txt> <order.txt> "
                "[--mapping=NAME] [--connectivity=orthogonal|moore] "
-               "[--radius=N] [--multilevel=N] [--shards=K] "
+               "[--radius=N] [--shards=K] "
                "[--parallelism=N] [--cache=N] [--batch=K] [--profile] "
                "[--quiet]\n"
                "known mappings: "
@@ -89,7 +87,6 @@ int RunCli(const CliArgs& args) {
   OrderingRequest request = OrderingRequest::ForPoints(*points, args.mapping);
   request.options.spectral.graph.connectivity = args.connectivity;
   request.options.spectral.graph.radius = args.radius;
-  request.options.spectral.multilevel_threshold = args.multilevel;
   request.options.sharded.num_shards = args.shards;
   request.options.spectral.parallelism = args.parallelism;
 
@@ -178,8 +175,6 @@ int main(int argc, char** argv) {
     } else if (spectral::ParseFlag(arg, "radius", &value)) {
       args.radius = std::atoi(value.c_str());
       if (args.radius < 1) return spectral::Usage();
-    } else if (spectral::ParseFlag(arg, "multilevel", &value)) {
-      args.multilevel = std::atoll(value.c_str());
     } else if (spectral::ParseFlag(arg, "shards", &value)) {
       args.shards = std::atoi(value.c_str());
       if (args.shards < 1) return spectral::Usage();
