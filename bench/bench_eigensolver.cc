@@ -159,9 +159,7 @@ void RunMethod(const std::string& method, const Workload& w,
   WallTimer timer;
   StatusOr<FiedlerResult> result = [&]() {
     if (method == "multilevel-warm") {
-      MultilevelOptions multilevel;
-      multilevel.fiedler = options;
-      return ComputeFiedlerMultilevel(w.graph, multilevel, w.axes);
+      return ComputeFiedlerMultilevel(w.graph, {}, options, w.axes);
     }
     if (method == "dense") {
       options.method = FiedlerMethod::kDense;

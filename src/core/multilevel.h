@@ -1,10 +1,10 @@
 // Multilevel Fiedler solver: coarsen the graph by heavy-edge matching
 // (graph/coarsening.h's BuildCoarseningHierarchy — the same hierarchy build
-// the exact solver's warm start uses), dense-solve the coarsest Laplacian,
-// prolong + Jacobi-smooth the eigenvector *block* up the hierarchy with a
-// loose-tolerance polish per level (eigen/warm_start.h), then polish the
-// finest level to full accuracy with the warm-started block Lanczos solver
-// (eigen/block_lanczos.h via ComputeFiedler).
+// the sharded partitioner uses), dense-solve the coarsest Laplacian,
+// prolong + Jacobi-smooth the eigenvector *block* up the hierarchy
+// (eigen/warm_start.h), then polish the finest level to full accuracy with
+// the warm-started block Lanczos solver (eigen/block_lanczos.h via
+// ComputeFiedler).
 //
 // Because the finest solve converges to the same tolerance as the flat
 // solver and tracks the whole num_pairs block, degenerate-eigenspace
@@ -18,8 +18,8 @@
 #ifndef SPECTRAL_LPM_CORE_MULTILEVEL_H_
 #define SPECTRAL_LPM_CORE_MULTILEVEL_H_
 
-#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "eigen/fiedler.h"
 #include "eigen/warm_start.h"
@@ -33,29 +33,25 @@ namespace spectral {
 struct MultilevelOptions {
   /// Hierarchy shape (stop size, stall detection, level cap).
   CoarseningOptions coarsen;
-  /// Finest-level solve configuration: tolerance, num_pairs, degeneracy
-  /// policy, worker pool. The multilevel cascade only manufactures the
-  /// warm start; this governs the accuracy of the answer.
-  FiedlerOptions fiedler;
-  /// Weighted-Jacobi smoothing steps after each prolongation.
-  int smooth_steps = 2;
-  double jacobi_omega = 2.0 / 3.0;
-  /// Adaptive tolerance: intermediate levels only warm-start the next
-  /// finer level, so their (optional) polish solves stop at this loose
-  /// residual. level_max_restarts = 0 skips the polish entirely and
-  /// ascends on smoothing alone — the default; see WarmStartOptions.
-  double level_tol = 1e-4;
-  int level_max_basis = 24;
-  int level_max_restarts = 0;
 };
 
+/// The one hierarchy-to-levels assembly: the Laplacian of `graph` and of
+/// every coarser level of BuildCoarseningHierarchy(graph, coarsen), with
+/// each level's fine-to-coarse map, finest first — the input of
+/// MultilevelFiedlerWarmStart.
+std::vector<WarmStartLevel> BuildWarmStartLevels(
+    const Graph& graph, const CoarseningOptions& coarsen = {});
+
 /// Computes the Fiedler pair of a *connected* graph's Laplacian through the
-/// coarsen-solve-refine cascade. Same FiedlerResult contract as
-/// ComputeFiedler (matvecs/restarts count all levels' work); with
-/// `canonical_axes` the degenerate-eigenspace canonicalization matches the
-/// flat solver's.
+/// coarsen-solve-refine cascade. `fiedler` configures the finest-level
+/// solve (tolerance, num_pairs, degeneracy policy, worker pool) and is the
+/// accuracy of the answer; the cascade only manufactures its warm start.
+/// Same FiedlerResult contract as ComputeFiedler (matvecs/restarts count
+/// all levels' work); with `canonical_axes` the degenerate-eigenspace
+/// canonicalization matches the flat solver's.
 StatusOr<FiedlerResult> ComputeFiedlerMultilevel(
     const Graph& graph, const MultilevelOptions& options = {},
+    const FiedlerOptions& fiedler = {},
     std::span<const Vector> canonical_axes = {});
 
 }  // namespace spectral

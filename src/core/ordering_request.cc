@@ -54,19 +54,6 @@ void HashFiedlerOptions(Hasher& h, const FiedlerOptions& o) {
       .MixEnum(o.degeneracy_policy);
 }
 
-void HashMultilevelOptions(Hasher& h, const MultilevelOptions& o) {
-  h.MixInt(o.coarsen.coarsest_size)
-      .MixDouble(o.coarsen.min_shrink_factor)
-      .MixInt(o.coarsen.max_levels)
-      .MixInt(o.smooth_steps)
-      .MixDouble(o.jacobi_omega)
-      .MixDouble(o.level_tol)
-      .MixInt(o.level_max_basis)
-      .MixInt(o.level_max_restarts);
-  // o.fiedler is not hashed: every caller overwrites it with the spectral
-  // options' fiedler before solving (see SpectralMapper::MapGraph).
-}
-
 void HashSpectralOptions(Hasher& h, const SpectralLpmOptions& o) {
   // parallelism and pool are excluded: the mapping is byte-identical for
   // every thread count, so they must not split the cache key space.
@@ -77,10 +64,12 @@ void HashSpectralOptions(Hasher& h, const SpectralLpmOptions& o) {
       .MixDouble(o.graph.gaussian_sigma)
       .MixBool(o.canonicalize_with_axes)
       .MixDouble(o.rank_quantum_rel)
-      .MixInt(o.warm_start_threshold);
+      .MixInt(o.warm_start_threshold)
+      .MixInt(o.multilevel.coarsen.coarsest_size)
+      .MixDouble(o.multilevel.coarsen.min_shrink_factor)
+      .MixInt(o.multilevel.coarsen.max_levels);
   HashEdges(h, o.affinity_edges);
   HashFiedlerOptions(h, o.fiedler);
-  HashMultilevelOptions(h, o.multilevel);
 }
 
 // Only the options the named engine actually reads participate in the
@@ -101,7 +90,9 @@ void HashEngineOptions(Hasher& h, std::string_view engine,
                      engine == "spectral-multilevel" || bisection || sharded;
   HashSpectralOptions(h, o.spectral);
   if (bisection || !known) {
-    h.MixInt(o.bisection.leaf_size).MixInt(o.bisection.max_depth);
+    h.MixInt(o.bisection.leaf_size)
+        .MixInt(o.bisection.max_depth)
+        .MixBool(o.bisection.warm_start_children);
   }
   if (sharded || !known) {
     h.MixInt(o.sharded.num_shards)

@@ -1,12 +1,10 @@
 #include "core/recursive_bisection.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "eigen/fiedler.h"
 #include "graph/laplacian.h"
-#include "graph/point_graph.h"
 #include "graph/subgraph.h"
 #include "graph/traversal.h"
 #include "util/check.h"
@@ -14,6 +12,12 @@
 namespace spectral {
 
 namespace {
+
+// A warm-started child at or above this size takes the block path even
+// when the base dense_threshold would pick dense Jacobi: with a good start
+// the block solve is far cheaper than the O(n^3) dense sweep that
+// otherwise dominates the whole recursion on mid-size children.
+constexpr int64_t kWarmDenseThreshold = 32;
 
 // Restricts each column of `block` to the entries at `idx` — how a parent
 // Fiedler block becomes a child warm start.
@@ -47,10 +51,9 @@ struct Bisector {
 
   // One Fiedler solve of the recursion, warm-started from the parent's
   // restricted Fiedler block when available. A warm-started child also
-  // drops to warm_dense_threshold: the block path with a good start beats
-  // the O(n^3) dense sweep well below the cold dense_threshold. Both
-  // solvers land on the same quantized order (the engines are
-  // cross-validated at the rank quantizer), so this only moves cost.
+  // drops to kWarmDenseThreshold. Both solvers land on the same quantized
+  // order (the engines are cross-validated at the rank quantizer), so this
+  // only moves cost.
   StatusOr<FiedlerResult> Solve(const Graph& graph,
                                 std::span<const Vector> axes,
                                 const VectorBlock* warm) {
@@ -63,8 +66,7 @@ struct Bisector {
     const bool use_warm = options->warm_start_children && warm != nullptr &&
                           !warm->empty();
     if (use_warm) {
-      fo.dense_threshold =
-          std::min(fo.dense_threshold, options->warm_dense_threshold);
+      fo.dense_threshold = std::min(fo.dense_threshold, kWarmDenseThreshold);
     }
     auto fiedler = ComputeFiedler(BuildLaplacian(graph), fo, axes,
                                   use_warm ? warm : nullptr);
@@ -72,27 +74,10 @@ struct Bisector {
       num_solves += 1;
       matvecs += fiedler->matvecs;
       // Count only solves that actually consumed the start (the dense path
-      // ignores it; BlockLanczosPath tags its method when warm).
-      if (use_warm &&
-          fiedler->method_used.find("warm") != std::string::npos) {
-        warm_solves += 1;
-      }
+      // ignores it).
+      if (fiedler->warm_started) warm_solves += 1;
     }
     return fiedler;
-  }
-
-  // Sort key mirroring core/spectral_lpm.cc's rank quantizer: components
-  // within rank_quantum_rel * max|component| are ties broken by global id,
-  // so dense/block and warm/cold solver noise cannot flip the order.
-  int64_t KeyOf(double v, double quantum) const {
-    return quantum > 0.0 ? static_cast<int64_t>(std::llround(v / quantum))
-                         : 0;
-  }
-
-  double QuantumOf(const Vector& values) const {
-    return options->base.rank_quantum_rel > 0.0
-               ? options->base.rank_quantum_rel * NormInf(values)
-               : 0.0;
   }
 
   // Appends `verts` in their given order.
@@ -109,12 +94,16 @@ struct Bisector {
     return subset.CenteredAxisFunctions();
   }
 
-  // Children re-canonicalize the Fiedler sign independently, which would
-  // flip segment directions at random and break the concatenated order.
-  // Align each child's ascending-value order with the incoming vertex order
-  // (`verts` arrives sorted by the parent's values): flip if reversed
-  // agreement is stronger.
-  static void AlignWithIncomingOrder(std::vector<int64_t>& by_value) {
+  // Local positions of `verts` by quantized Fiedler value (ties by global
+  // id, like SpectralMapper). Children re-canonicalize the Fiedler sign
+  // independently, which would flip segment directions at random and
+  // break the concatenated order, so the result is aligned with the
+  // incoming vertex order (`verts` arrives sorted by the parent's values):
+  // reversed if reversed agreement is stronger.
+  std::vector<int64_t> ValueOrder(std::span<const double> values,
+                                  std::span<const int64_t> verts) const {
+    std::vector<int64_t> by_value =
+        QuantizedValueOrder(values, verts, options->base.rank_quantum_rel);
     const int64_t m = static_cast<int64_t>(by_value.size());
     int64_t forward = 0;
     int64_t backward = 0;
@@ -125,82 +114,38 @@ struct Bisector {
     if (backward > forward) {
       std::reverse(by_value.begin(), by_value.end());
     }
-  }
-
-  // Orders the *connected* subgraph over verts (local ids match verts
-  // positions) with one direct Fiedler solve.
-  void OrderLeaf(const Graph& graph, std::span<const int64_t> verts,
-                 const VectorBlock* warm) {
-    const int64_t m = static_cast<int64_t>(verts.size());
-    if (m <= 2) {
-      Emit(verts);
-      return;
-    }
-    const auto axes = AxesFor(verts);
-    auto fiedler = Solve(graph, axes, warm);
-    if (!fiedler.ok()) {
-      if (error.ok()) error = fiedler.status();
-      Emit(verts);  // keep the permutation valid even on failure
-      return;
-    }
-    const double quantum = QuantumOf(fiedler->fiedler);
-    std::vector<int64_t> by_value(static_cast<size_t>(m));
-    std::iota(by_value.begin(), by_value.end(), 0);
-    std::sort(by_value.begin(), by_value.end(), [&](int64_t a, int64_t b) {
-      const double va = fiedler->fiedler[static_cast<size_t>(a)];
-      const double vb = fiedler->fiedler[static_cast<size_t>(b)];
-      const int64_t ka = KeyOf(va, quantum);
-      const int64_t kb = KeyOf(vb, quantum);
-      if (ka != kb) return ka < kb;
-      if (quantum == 0.0 && va != vb) return va < vb;
-      return verts[static_cast<size_t>(a)] < verts[static_cast<size_t>(b)];
-    });
-    AlignWithIncomingOrder(by_value);
-    std::vector<int64_t> ordered(static_cast<size_t>(m));
-    for (int64_t i = 0; i < m; ++i) {
-      ordered[static_cast<size_t>(i)] =
-          verts[static_cast<size_t>(by_value[static_cast<size_t>(i)])];
-    }
-    Emit(ordered);
+    return by_value;
   }
 
   // Orders an arbitrary (possibly disconnected) subgraph.
   void OrderAny(const Graph& graph, std::span<const int64_t> verts, int depth,
                 const VectorBlock* warm);
 
-  // Orders a *connected* subgraph: leaf solve or median-cut recursion.
+  // Orders a *connected* subgraph over verts (local ids match verts
+  // positions): a leaf is emitted in the value order of one direct Fiedler
+  // solve, anything larger is cut at that order's median and recursed.
   void OrderConnected(const Graph& graph, std::span<const int64_t> verts,
                       int depth, const VectorBlock* warm) {
     depth_reached = std::max(depth_reached, depth);
     const int64_t m = static_cast<int64_t>(verts.size());
-    if (m <= std::max<int64_t>(2, options->leaf_size) ||
-        depth >= options->max_depth) {
-      OrderLeaf(graph, verts, warm);
-      return;
-    }
-    const auto axes = AxesFor(verts);
-    auto fiedler = Solve(graph, axes, warm);
-    if (!fiedler.ok()) {
-      if (error.ok()) error = fiedler.status();
+    if (m <= 2) {
       Emit(verts);
       return;
     }
-
-    // Median cut: lower half by quantized Fiedler value (ties by global
-    // id), with the cut direction aligned to the incoming order.
-    const double quantum = QuantumOf(fiedler->fiedler);
-    std::vector<int64_t> by_value(static_cast<size_t>(m));
-    std::iota(by_value.begin(), by_value.end(), 0);
-    std::sort(by_value.begin(), by_value.end(), [&](int64_t a, int64_t b) {
-      const double va = fiedler->fiedler[static_cast<size_t>(a)];
-      const double vb = fiedler->fiedler[static_cast<size_t>(b)];
-      const int64_t ka = KeyOf(va, quantum);
-      const int64_t kb = KeyOf(vb, quantum);
-      if (ka != kb) return ka < kb;
-      if (quantum == 0.0 && va != vb) return va < vb;
-      return verts[static_cast<size_t>(a)] < verts[static_cast<size_t>(b)];
-    });
-    AlignWithIncomingOrder(by_value);
+    auto fiedler = Solve(graph, AxesFor(verts), warm);
+    if (!fiedler.ok()) {
+      if (error.ok()) error = fiedler.status();
+      Emit(verts);  // keep the permutation valid even on failure
+      return;
+    }
+    const std::vector<int64_t> by_value = ValueOrder(fiedler->fiedler, verts);
+    if (m <= options->leaf_size || depth >= options->max_depth) {
+      for (int64_t i : by_value) {
+        ranks[static_cast<size_t>(verts[static_cast<size_t>(i)])] =
+            next_rank++;
+      }
+      return;
+    }
 
     // This solve's eigenpairs, restricted to a child's vertices, seed the
     // child's solve (the warm-start hook in eigen/fiedler.h).
@@ -241,23 +186,21 @@ void Bisector::OrderAny(const Graph& graph, std::span<const int64_t> verts,
     OrderConnected(graph, verts, depth, warm);
     return;
   }
-  // Largest component first, ties by lowest global vertex.
-  std::vector<std::vector<int64_t>> members(
-      static_cast<size_t>(num_components));
-  for (size_t i = 0; i < comp.size(); ++i) {
-    members[static_cast<size_t>(comp[i])].push_back(static_cast<int64_t>(i));
-  }
+  // Largest component first, ties by the global id of each component's
+  // lowest local vertex (`verts` is not ascending).
+  const std::vector<InducedSubgraph> parts =
+      SplitByLabel(graph, comp, num_components);
   std::vector<int64_t> order(static_cast<size_t>(num_components));
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    const auto& ma = members[static_cast<size_t>(a)];
-    const auto& mb = members[static_cast<size_t>(b)];
+    const auto& ma = parts[static_cast<size_t>(a)].local_to_global;
+    const auto& mb = parts[static_cast<size_t>(b)].local_to_global;
     if (ma.size() != mb.size()) return ma.size() > mb.size();
     return verts[static_cast<size_t>(ma[0])] < verts[static_cast<size_t>(mb[0])];
   });
   for (int64_t c : order) {
-    const auto& local = members[static_cast<size_t>(c)];
-    const InducedSubgraph sub = BuildInducedSubgraph(graph, local);
+    const InducedSubgraph& sub = parts[static_cast<size_t>(c)];
+    const auto& local = sub.local_to_global;
     std::vector<int64_t> global(local.size());
     for (size_t i = 0; i < local.size(); ++i) {
       global[i] = verts[static_cast<size_t>(local[i])];
@@ -311,24 +254,9 @@ StatusOr<RecursiveBisectionResult> RecursiveSpectralOrder(
   if (points.empty()) {
     return InvalidArgumentError("cannot order an empty point set");
   }
-  auto graph = BuildPointGraph(points, options.base.graph);
+  auto graph = BuildRequestGraph(points, options.base);
   if (!graph.ok()) return graph.status();
-  if (options.base.affinity_edges.empty()) {
-    return RecursiveSpectralOrderGraph(*graph, &points, options);
-  }
-  std::vector<GraphEdge> edges;
-  graph->ForEachEdge([&](int64_t u, int64_t v, double w) {
-    edges.push_back({u, v, w});
-  });
-  for (const GraphEdge& e : options.base.affinity_edges) {
-    if (e.u < 0 || e.u >= points.size() || e.v < 0 || e.v >= points.size() ||
-        e.u == e.v || e.weight <= 0.0) {
-      return InvalidArgumentError("invalid affinity edge");
-    }
-    edges.push_back(e);
-  }
-  const Graph merged = Graph::FromEdges(points.size(), edges);
-  return RecursiveSpectralOrderGraph(merged, &points, options);
+  return RecursiveSpectralOrderGraph(*graph, &points, options);
 }
 
 }  // namespace spectral

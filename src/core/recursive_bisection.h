@@ -32,11 +32,6 @@ struct RecursiveBisectionOptions {
   /// costs iterations, never changes the converged order (the solver's
   /// warm == cold contract, regression-tested).
   bool warm_start_children = true;
-  /// Warm-started children at or above this size take the block path even
-  /// when the base dense_threshold would pick dense Jacobi: with a good
-  /// start the block solve is far cheaper than the O(n^3) dense sweep that
-  /// otherwise dominates the whole recursion on mid-size children.
-  int64_t warm_dense_threshold = 32;
   /// Graph construction and eigensolver configuration (affinity edges are
   /// honored on the top-level graph).
   SpectralLpmOptions base;

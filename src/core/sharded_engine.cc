@@ -12,7 +12,6 @@
 #include "core/mapping_service.h"
 #include "core/ordering_request.h"
 #include "graph/partition.h"
-#include "graph/point_graph.h"
 #include "graph/subgraph.h"
 #include "util/check.h"
 #include "util/string_util.h"
@@ -53,37 +52,6 @@ SpectralLpmOptions CutSolveSpectralOptions(const SpectralLpmOptions& base,
         std::max(cut.fiedler.degeneracy_rel_tol, 0.25);
   }
   return cut;
-}
-
-// Builds the graph a kPoints/kPointsWithAffinity request resolves to —
-// neighborhood edges merged with affinity edges — replicating the
-// monolithic mapper's construction (and its validation errors) so shard
-// solves see exactly the same weights.
-StatusOr<Graph> BuildWorkingGraph(const PointSet& points,
-                                  const SpectralLpmOptions& options) {
-  auto graph = BuildPointGraph(points, options.graph);
-  if (!graph.ok()) return graph.status();
-  if (options.affinity_edges.empty()) return graph;
-
-  std::vector<GraphEdge> edges;
-  edges.reserve(static_cast<size_t>(graph->num_edges()) +
-                options.affinity_edges.size());
-  graph->ForEachEdge([&](int64_t u, int64_t v, double w) {
-    edges.push_back({u, v, w});
-  });
-  for (const GraphEdge& e : options.affinity_edges) {
-    if (e.u < 0 || e.u >= points.size() || e.v < 0 || e.v >= points.size()) {
-      return InvalidArgumentError("affinity edge endpoint out of range");
-    }
-    if (e.u == e.v) {
-      return InvalidArgumentError("affinity edge endpoints must differ");
-    }
-    if (e.weight <= 0.0) {
-      return InvalidArgumentError("affinity edge weight must be positive");
-    }
-    edges.push_back(e);
-  }
-  return Graph::FromEdges(points.size(), edges);
 }
 
 // Rounded centroid of each vertex group — canonicalization hints for the
@@ -193,7 +161,7 @@ class ShardedSpectralEngine : public OrderingEngine {
       if (points->empty()) {
         return InvalidArgumentError("cannot map an empty point set");
       }
-      auto working = BuildWorkingGraph(*points, spectral);
+      auto working = BuildRequestGraph(*points, spectral);
       if (!working.ok()) return working.status();
       built = *std::move(working);
       graph = &built;
@@ -268,40 +236,33 @@ class ShardedSpectralEngine : public OrderingEngine {
     ++num_shards;
     if (num_shards <= 1) return MonolithicDelegate(request);
 
-    std::vector<int64_t> part_of(static_cast<size_t>(n), -1);
-    for (int64_t v = 0; v < n; ++v) {
-      part_of[static_cast<size_t>(v)] = shard_of_coarse[static_cast<size_t>(
-          chain.fine_to_coarse[static_cast<size_t>(v)])];
-    }
-
-    // --- Shard sub-requests over induced subgraphs.
-    std::vector<std::vector<int64_t>> members(
-        static_cast<size_t>(num_shards));
-    for (int64_t v = 0; v < n; ++v) {
-      members[static_cast<size_t>(part_of[static_cast<size_t>(v)])]
-          .push_back(v);
-    }
-    // Relabel shards by their lowest fine member. Every spectral solve in
+    // Shard ids relabeled by lowest fine member. Every spectral solve in
     // this library fixes its sign at the lowest-id vertex with a
     // significant component, so giving the shard that contains fine vertex
     // 0 quotient id 0 anchors the quotient solve's orientation at the same
     // vertex as the monolithic solve's — the stitched order then runs the
     // same way instead of coming out globally mirrored.
-    std::sort(members.begin(), members.end(),
-              [](const std::vector<int64_t>& a,
-                 const std::vector<int64_t>& b) {
-                return a.front() < b.front();
-              });
-    for (int64_t s = 0; s < num_shards; ++s) {
-      for (int64_t v : members[static_cast<size_t>(s)]) {
-        part_of[static_cast<size_t>(v)] = s;
-      }
+    std::vector<int64_t> relabel(static_cast<size_t>(num_shards), -1);
+    std::vector<int64_t> part_of(static_cast<size_t>(n), -1);
+    int64_t next_shard = 0;
+    for (int64_t v = 0; v < n; ++v) {
+      int64_t& s = relabel[static_cast<size_t>(shard_of_coarse[
+          static_cast<size_t>(chain.fine_to_coarse[static_cast<size_t>(v)])])];
+      if (s < 0) s = next_shard++;
+      part_of[static_cast<size_t>(v)] = s;
     }
+
+    // --- Shard sub-requests over induced subgraphs.
+    std::vector<InducedSubgraph> shards =
+        SplitByLabel(*graph, part_of, num_shards);
+    auto shard_size = [&shards](int64_t s) {
+      return static_cast<int64_t>(
+          shards[static_cast<size_t>(s)].local_to_global.size());
+    };
     std::vector<OrderingRequest> shard_requests;
     shard_requests.reserve(static_cast<size_t>(num_shards));
     for (int64_t s = 0; s < num_shards; ++s) {
-      InducedSubgraph sub = BuildInducedSubgraph(*graph, members[
-          static_cast<size_t>(s)]);
+      InducedSubgraph& sub = shards[static_cast<size_t>(s)];
       std::shared_ptr<const PointSet> sub_points;
       if (points != nullptr) {
         // Translate to the shard's own origin: canonicalization uses
@@ -310,7 +271,7 @@ class ShardedSpectralEngine : public OrderingEngine {
         // cache dedups repeated islands).
         std::vector<Coord> lo((static_cast<size_t>(points->dims())),
                               std::numeric_limits<Coord>::max());
-        for (int64_t v : members[static_cast<size_t>(s)]) {
+        for (int64_t v : sub.local_to_global) {
           const auto p = (*points)[v];
           for (int a = 0; a < points->dims(); ++a) {
             lo[static_cast<size_t>(a)] =
@@ -319,7 +280,7 @@ class ShardedSpectralEngine : public OrderingEngine {
         }
         auto sp = std::make_shared<PointSet>(points->dims());
         std::vector<Coord> q(static_cast<size_t>(points->dims()));
-        for (int64_t v : members[static_cast<size_t>(s)]) {
+        for (int64_t v : sub.local_to_global) {
           const auto p = (*points)[v];
           for (int a = 0; a < points->dims(); ++a) {
             q[static_cast<size_t>(a)] = static_cast<Coord>(
@@ -376,14 +337,14 @@ class ShardedSpectralEngine : public OrderingEngine {
         const int64_t s = shard_by_rank[static_cast<size_t>(r)];
         shard_rank[static_cast<size_t>(s)] = r;
         offset[static_cast<size_t>(s)] = acc;
-        acc += static_cast<int64_t>(members[static_cast<size_t>(s)].size());
+        acc += shard_size(s);
       }
     }
 
     // Local rank of each fine vertex within its shard.
     std::vector<int64_t> local_rank(static_cast<size_t>(n), -1);
     for (int64_t s = 0; s < num_shards; ++s) {
-      const auto& verts = members[static_cast<size_t>(s)];
+      const auto& verts = shards[static_cast<size_t>(s)].local_to_global;
       const LinearOrder& order =
           shard_results[static_cast<size_t>(s)]->order;
       for (size_t k = 0; k < verts.size(); ++k) {
@@ -425,8 +386,7 @@ class ShardedSpectralEngine : public OrderingEngine {
     int64_t flips = 0;
     std::vector<bool> flip(static_cast<size_t>(num_shards), false);
     for (int64_t s = 0; s < num_shards; ++s) {
-      const double m_minus_1 = static_cast<double>(
-          members[static_cast<size_t>(s)].size() - 1);
+      const double m_minus_1 = static_cast<double>(shard_size(s) - 1);
       const double g_flip =
           (w_in[static_cast<size_t>(s)] - w_out[static_cast<size_t>(s)]) *
               m_minus_1 -
@@ -441,8 +401,7 @@ class ShardedSpectralEngine : public OrderingEngine {
     std::vector<int64_t> ranks(static_cast<size_t>(n), -1);
     for (int64_t v = 0; v < n; ++v) {
       const int64_t s = part_of[static_cast<size_t>(v)];
-      const int64_t m =
-          static_cast<int64_t>(members[static_cast<size_t>(s)].size());
+      const int64_t m = shard_size(s);
       const int64_t local = flip[static_cast<size_t>(s)]
                                 ? m - 1 - local_rank[static_cast<size_t>(v)]
                                 : local_rank[static_cast<size_t>(v)];
@@ -465,11 +424,8 @@ class ShardedSpectralEngine : public OrderingEngine {
       out.matvecs += shard.matvecs;
       out.restarts += shard.restarts;
       out.converged = out.converged && shard.converged;
-      const auto& verts = members[static_cast<size_t>(s)];
-      if (verts.size() >
-          members[static_cast<size_t>(largest_shard)].size()) {
-        largest_shard = s;
-      }
+      const auto& verts = shards[static_cast<size_t>(s)].local_to_global;
+      if (shard_size(s) > shard_size(largest_shard)) largest_shard = s;
       // A flipped shard's order descends in its local embedding; negating
       // the stored values keeps the documented contract (the order is the
       // ascending sort of the embedding, shard by shard — a Fiedler

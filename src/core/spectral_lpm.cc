@@ -7,6 +7,7 @@
 
 #include "eigen/operator.h"
 #include "graph/laplacian.h"
+#include "graph/subgraph.h"
 #include "graph/traversal.h"
 #include "util/check.h"
 #include "util/fault.h"
@@ -17,24 +18,18 @@ namespace spectral {
 SpectralMapper::SpectralMapper(SpectralLpmOptions options)
     : options_(std::move(options)) {}
 
-StatusOr<SpectralLpmResult> SpectralMapper::Map(const PointSet& points) const {
-  if (points.empty()) {
-    return InvalidArgumentError("cannot map an empty point set");
-  }
-  auto graph = BuildPointGraph(points, options_.graph);
-  if (!graph.ok()) return graph.status();
-
-  if (options_.affinity_edges.empty()) {
-    return MapGraph(*graph, &points);
-  }
+StatusOr<Graph> BuildRequestGraph(const PointSet& points,
+                                  const SpectralLpmOptions& options) {
+  auto graph = BuildPointGraph(points, options.graph);
+  if (!graph.ok() || options.affinity_edges.empty()) return graph;
   // Merge the neighborhood edges with the user's affinity edges.
   std::vector<GraphEdge> edges;
   edges.reserve(static_cast<size_t>(graph->num_edges()) +
-                options_.affinity_edges.size());
+                options.affinity_edges.size());
   graph->ForEachEdge([&](int64_t u, int64_t v, double w) {
     edges.push_back({u, v, w});
   });
-  for (const GraphEdge& e : options_.affinity_edges) {
+  for (const GraphEdge& e : options.affinity_edges) {
     if (e.u < 0 || e.u >= points.size() || e.v < 0 || e.v >= points.size()) {
       return InvalidArgumentError("affinity edge endpoint out of range");
     }
@@ -46,8 +41,42 @@ StatusOr<SpectralLpmResult> SpectralMapper::Map(const PointSet& points) const {
     }
     edges.push_back(e);
   }
-  const Graph merged = Graph::FromEdges(points.size(), edges);
-  return MapGraph(merged, &points);
+  return Graph::FromEdges(points.size(), edges);
+}
+
+std::vector<int64_t> QuantizedValueOrder(std::span<const double> values,
+                                         std::span<const int64_t> ids,
+                                         double rank_quantum_rel) {
+  const double quantum =
+      rank_quantum_rel > 0.0 ? rank_quantum_rel * NormInf(values) : 0.0;
+  auto key_of = [&](int64_t a) -> int64_t {
+    const double v = values[static_cast<size_t>(a)];
+    return quantum > 0.0 ? static_cast<int64_t>(std::llround(v / quantum))
+                         : 0;
+  };
+  std::vector<int64_t> by_value(values.size());
+  std::iota(by_value.begin(), by_value.end(), 0);
+  std::sort(by_value.begin(), by_value.end(), [&](int64_t a, int64_t b) {
+    const int64_t ka = key_of(a);
+    const int64_t kb = key_of(b);
+    if (ka != kb) return ka < kb;
+    if (quantum == 0.0) {
+      const double va = values[static_cast<size_t>(a)];
+      const double vb = values[static_cast<size_t>(b)];
+      if (va != vb) return va < vb;
+    }
+    return ids[static_cast<size_t>(a)] < ids[static_cast<size_t>(b)];
+  });
+  return by_value;
+}
+
+StatusOr<SpectralLpmResult> SpectralMapper::Map(const PointSet& points) const {
+  if (points.empty()) {
+    return InvalidArgumentError("cannot map an empty point set");
+  }
+  auto graph = BuildRequestGraph(points, options_);
+  if (!graph.ok()) return graph.status();
+  return MapGraph(*graph, &points);
 }
 
 StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
@@ -62,36 +91,18 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
   int64_t num_components = 0;
   const std::vector<int64_t> comp = ConnectedComponents(graph, &num_components);
 
-  // Vertices per component.
-  std::vector<std::vector<int64_t>> members(
-      static_cast<size_t>(num_components));
-  for (int64_t v = 0; v < n; ++v) {
-    members[static_cast<size_t>(comp[static_cast<size_t>(v)])].push_back(v);
-  }
-  // Edges per component, in local vertex ids.
-  std::vector<int64_t> local(static_cast<size_t>(n), -1);
-  for (size_t c = 0; c < members.size(); ++c) {
-    for (size_t k = 0; k < members[c].size(); ++k) {
-      local[static_cast<size_t>(members[c][k])] = static_cast<int64_t>(k);
-    }
-  }
-  std::vector<std::vector<GraphEdge>> comp_edges(
-      static_cast<size_t>(num_components));
-  graph.ForEachEdge([&](int64_t u, int64_t v, double w) {
-    const int64_t c = comp[static_cast<size_t>(u)];
-    comp_edges[static_cast<size_t>(c)].push_back(
-        {local[static_cast<size_t>(u)], local[static_cast<size_t>(v)], w});
-  });
+  const std::vector<InducedSubgraph> parts =
+      SplitByLabel(graph, comp, num_components);
 
   // Component processing order: largest first, ties by lowest vertex id
-  // (members[c] is ascending by construction).
+  // (each part's vertices are ascending).
   std::vector<int64_t> comp_order(static_cast<size_t>(num_components));
   std::iota(comp_order.begin(), comp_order.end(), 0);
   std::sort(comp_order.begin(), comp_order.end(), [&](int64_t a, int64_t b) {
-    const size_t sa = members[static_cast<size_t>(a)].size();
-    const size_t sb = members[static_cast<size_t>(b)].size();
-    if (sa != sb) return sa > sb;
-    return members[static_cast<size_t>(a)][0] < members[static_cast<size_t>(b)][0];
+    const auto& ma = parts[static_cast<size_t>(a)].local_to_global;
+    const auto& mb = parts[static_cast<size_t>(b)].local_to_global;
+    if (ma.size() != mb.size()) return ma.size() > mb.size();
+    return ma[0] < mb[0];
   });
 
   // Per-component eigensolves. Components are independent Fiedler problems,
@@ -102,16 +113,9 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
   // not depend on the thread count.
   struct ComponentSolve {
     Status status;
-    Vector values;
-    double lambda2 = 0.0;
-    int64_t matvecs = 0;
-    int64_t restarts = 0;
-    int64_t spmm_calls = 0;
-    int64_t reorth_panels = 0;
-    KernelProfile profile;
-    std::string method_used;
+    // fiedler.fiedler holds the component's values (zeros when unsolved).
+    FiedlerResult fiedler;
     bool solved = false;  // true iff the component needed an eigensolve
-    bool converged = true;
   };
   std::vector<ComponentSolve> solves(static_cast<size_t>(num_components));
 
@@ -126,7 +130,7 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
     int threads = options_.parallelism;
     if (threads <= 0) threads = ThreadPool::DefaultThreads();
     const int64_t largest_component = static_cast<int64_t>(
-        members[static_cast<size_t>(comp_order[0])].size());
+        parts[static_cast<size_t>(comp_order[0])].local_to_global.size());
     if (threads > 1 &&
         (num_components > 1 || largest_component >= kDefaultMinParallelRows)) {
       owned_pool = std::make_unique<ThreadPool>(threads);
@@ -136,12 +140,12 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
 
   auto solve_component = [&](int64_t c) {
     ComponentSolve& out = solves[static_cast<size_t>(c)];
-    const auto& verts = members[static_cast<size_t>(c)];
+    const Graph& sub = parts[static_cast<size_t>(c)].graph;
+    const auto& verts = parts[static_cast<size_t>(c)].local_to_global;
     const int64_t m = static_cast<int64_t>(verts.size());
-    out.values.assign(static_cast<size_t>(m), 0.0);
+    out.fiedler.fiedler.assign(static_cast<size_t>(m), 0.0);
     if (m <= 1) return;
 
-    const Graph sub = Graph::FromEdges(m, comp_edges[static_cast<size_t>(c)]);
     // Warm-started multilevel path for big components: one hierarchy build
     // feeds the coarsest dense solve, the prolong/smooth ascent, and the
     // full-accuracy fine block solve, so the exact engine converges at
@@ -165,9 +169,8 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
     fiedler_options.matvec_pool = pool;
     StatusOr<FiedlerResult> fiedler = [&]() -> StatusOr<FiedlerResult> {
       if (use_warm) {
-        MultilevelOptions multilevel = options_.multilevel;
-        multilevel.fiedler = fiedler_options;
-        return ComputeFiedlerMultilevel(sub, multilevel, axes);
+        return ComputeFiedlerMultilevel(sub, options_.multilevel,
+                                        fiedler_options, axes);
       }
       return ComputeFiedler(BuildLaplacian(sub), fiedler_options, axes);
     }();
@@ -175,20 +178,12 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
       out.status = fiedler.status();
       return;
     }
-    out.values = fiedler->fiedler;
-    out.lambda2 = fiedler->lambda2;
-    out.matvecs = fiedler->matvecs;
-    out.restarts = fiedler->restarts;
-    out.spmm_calls = fiedler->spmm_calls;
-    out.reorth_panels = fiedler->reorth_panels;
-    out.profile = fiedler->profile;
-    out.method_used = fiedler->method_used;
-    out.converged = fiedler->converged;
+    out.fiedler = *std::move(fiedler);
     // An injected solver fault demotes this solve to "unconverged" without
     // touching its (fully converged) values: downstream sees exactly what a
     // real stall would produce — a usable order flagged as best-effort.
     if (FaultFires(options_.faults, "solver.converge")) {
-      out.converged = false;
+      out.fiedler.converged = false;
     }
     out.solved = true;
   };
@@ -218,51 +213,28 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
   bool recorded_main = false;
 
   for (int64_t c : comp_order) {
-    const auto& verts = members[static_cast<size_t>(c)];
+    const auto& verts = parts[static_cast<size_t>(c)].local_to_global;
     const int64_t m = static_cast<int64_t>(verts.size());
-    ComponentSolve& solve = solves[static_cast<size_t>(c)];
-    Vector& values = solve.values;
+    const ComponentSolve& solve = solves[static_cast<size_t>(c)];
+    const Vector& values = solve.fiedler.fiedler;
 
     if (solve.solved) {
-      result.matvecs += solve.matvecs;
-      result.restarts += solve.restarts;
-      result.spmm_calls += solve.spmm_calls;
-      result.reorth_panels += solve.reorth_panels;
-      result.profile.Add(solve.profile);
-      result.converged = result.converged && solve.converged;
+      result.matvecs += solve.fiedler.matvecs;
+      result.restarts += solve.fiedler.restarts;
+      result.spmm_calls += solve.fiedler.spmm_calls;
+      result.reorth_panels += solve.fiedler.reorth_panels;
+      result.profile.Add(solve.fiedler.profile);
+      result.converged = result.converged && solve.fiedler.converged;
       if (!recorded_main) {
-        result.lambda2 = solve.lambda2;
-        result.method_used = solve.method_used;
+        result.lambda2 = solve.fiedler.lambda2;
+        result.method_used = solve.fiedler.method_used;
         recorded_main = true;
       }
     }
 
-    // Step 5: order by Fiedler component. Components are quantized first so
-    // exact eigenvector ties (grid eigenvectors are constant along whole
-    // slices) resolve by point index, not by solver-specific noise.
-    double quantum = 0.0;
-    if (options_.rank_quantum_rel > 0.0) {
-      quantum = options_.rank_quantum_rel * NormInf(values);
-    }
-    auto key_of = [&](int64_t a) -> int64_t {
-      const double v = values[static_cast<size_t>(a)];
-      return quantum > 0.0
-                 ? static_cast<int64_t>(std::llround(v / quantum))
-                 : 0;
-    };
-    std::vector<int64_t> by_value(static_cast<size_t>(m));
-    std::iota(by_value.begin(), by_value.end(), 0);
-    std::sort(by_value.begin(), by_value.end(), [&](int64_t a, int64_t b) {
-      const int64_t ka = key_of(a);
-      const int64_t kb = key_of(b);
-      if (ka != kb) return ka < kb;
-      if (quantum == 0.0) {
-        const double va = values[static_cast<size_t>(a)];
-        const double vb = values[static_cast<size_t>(b)];
-        if (va != vb) return va < vb;
-      }
-      return verts[static_cast<size_t>(a)] < verts[static_cast<size_t>(b)];
-    });
+    // Step 5: order by quantized Fiedler component.
+    const std::vector<int64_t> by_value =
+        QuantizedValueOrder(values, verts, options_.rank_quantum_rel);
     for (int64_t k = 0; k < m; ++k) {
       const int64_t v = verts[static_cast<size_t>(by_value[static_cast<size_t>(k)])];
       ranks[static_cast<size_t>(v)] = next_rank++;

@@ -14,6 +14,7 @@
 #define SPECTRAL_LPM_CORE_SPECTRAL_LPM_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/linear_order.h"
@@ -57,9 +58,8 @@ struct SpectralLpmOptions {
   /// fraction of the matvec/reorthogonalization cost. 0 disables warm
   /// starts (cold block solves everywhere).
   int64_t warm_start_threshold = 256;
-  /// Hierarchy/smoothing shape for the warm-started path. Its embedded
-  /// FiedlerOptions is ignored here: `fiedler` above governs the finest
-  /// solve on every path.
+  /// Hierarchy shape for the warm-started path; `fiedler` above governs
+  /// the finest solve on every path.
   MultilevelOptions multilevel;
   /// Worker threads for the mapping. Disconnected components are solved
   /// concurrently (largest-first work queue) and Lanczos matvecs on large
@@ -117,6 +117,22 @@ struct SpectralLpmResult {
   /// and its order is a best-effort estimate. See FiedlerResult::converged.
   bool converged = true;
 };
+
+/// Step 1 for every spectral-family engine: the neighborhood graph of
+/// `points` (options.graph) merged with options.affinity_edges. Returns
+/// InvalidArgument when BuildPointGraph rejects the points or an affinity
+/// edge has an endpoint out of range, equal endpoints, or a weight <= 0.
+StatusOr<Graph> BuildRequestGraph(const PointSet& points,
+                                  const SpectralLpmOptions& options);
+
+/// Step 5 for every spectral-family engine: the positions of `values` in
+/// ascending order. Values within rank_quantum_rel * max|value| of each
+/// other are ties (grid eigenvectors are constant along whole slices),
+/// broken by `ids`, the vertices' global ids, so the order does not depend
+/// on solver noise; rank_quantum_rel <= 0 compares exact values first.
+std::vector<int64_t> QuantizedValueOrder(std::span<const double> values,
+                                         std::span<const int64_t> ids,
+                                         double rank_quantum_rel);
 
 /// Maps multi-dimensional point sets to linear orders via the spectrum of
 /// their neighborhood graph.

@@ -398,7 +398,6 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
           const int degree = static_cast<int>(std::ceil(
               std::acosh(gain) / std::acosh(t_wanted)));
           if (degree >= 2) {
-            const int64_t before = result.matvecs;
             WallTimer timer;
             ChebyshevFilterPacked(op, lo, cut,
                                   std::min(degree, options.cheb_degree_max),
@@ -406,7 +405,6 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
                                   result.matvecs, result.spmm_calls,
                                   profile);
             profile.cheb_ms += timer.ElapsedSeconds() * 1e3;
-            result.cheb_matvecs += result.matvecs - before;
           }
         }
       }

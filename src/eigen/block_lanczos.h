@@ -110,8 +110,6 @@ struct BlockLanczosResult {
   /// fused block apply counts as its width so the tally stays comparable
   /// with the scalar solver's.
   int64_t matvecs = 0;
-  /// The filter's share of `matvecs` (reorthogonalization-free).
-  int64_t cheb_matvecs = 0;
   /// Fused block-operator applications (each covers `matvecs / spmm_calls`
   /// columns on average — the SpMM amortization factor).
   int64_t spmm_calls = 0;

@@ -217,8 +217,8 @@ StatusOr<FiedlerResult> BlockLanczosPath(const SparseMatrix& laplacian,
 
   FiedlerResult result;
   result.method_used = warm ? "block-lanczos+warm" : "block-lanczos";
+  result.warm_started = warm;
   result.matvecs = lan->matvecs;
-  result.cheb_matvecs = lan->cheb_matvecs;
   result.spmm_calls = lan->spmm_calls;
   result.reorth_panels = lan->reorth_panels;
   result.restarts = lan->restarts;

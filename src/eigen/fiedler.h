@@ -14,8 +14,8 @@
 //     multilevel warm start (eigen/warm_start.h) through the `warm_start`
 //     argument, and the solve only polishes — this is what makes the
 //     *exact* spectral engine run at near-multilevel speed (the
-//     coarsen/prolong/smooth cascade is assembled by core/spectral_lpm and
-//     core/multilevel from one shared hierarchy build).
+//     solve/prolong/smooth cascade runs over core/multilevel's
+//     BuildWarmStartLevels, one hierarchy build per component).
 //   * kLanczos — the scalar restarted Lanczos path with sequential
 //     deflation: one full solve per pair. Kept as the independent
 //     reference implementation (warm-vs-cold property tests pin the block
@@ -130,8 +130,6 @@ struct FiedlerResult {
   int degenerate_dim = 1;
   /// Total operator applications (Krylov + Chebyshev filter).
   int64_t matvecs = 0;
-  /// The Chebyshev filter's (reorthogonalization-free) share of matvecs.
-  int64_t cheb_matvecs = 0;
   /// Fused block-operator (SpMM) applications by the block path; zero for
   /// the dense and scalar paths. matvecs / spmm_calls is the per-call
   /// column amortization the fused kernel achieved.
@@ -147,6 +145,9 @@ struct FiedlerResult {
   /// multilevel/component solves. See eigen/kernel_profile.h.
   KernelProfile profile;
   std::string method_used;
+  /// True iff the block path consumed a non-empty `warm_start` (the dense
+  /// and scalar paths never do); method_used then ends in "+warm".
+  bool warm_started = false;
   /// False when the iterative paths exhausted max_restarts before the
   /// Fiedler pair met tolerance. The result then carries the best-effort
   /// pair (still unit-norm, still canonicalized) instead of an error, and

@@ -15,16 +15,28 @@ namespace spectral {
 
 namespace {
 
+// Weighted-Jacobi sweeps after each prolongation.
+constexpr int kSmoothSteps = 2;
+constexpr double kJacobiOmega = 2.0 / 3.0;
+// Largest coarsest level still solved with the dense reference.
+constexpr int64_t kDenseLimit = 512;
+// Loose block solve for a coarsest level above kDenseLimit (heavy-edge
+// matching stalled very early). It only seeds the caller's finest solve,
+// so it never pays for full accuracy.
+constexpr double kStalledTol = 1e-4;
+constexpr int kStalledMaxBasis = 24;
+constexpr int kStalledMaxRestarts = 4;
+
 Vector OnesKernel(int64_t n) {
   return Vector(static_cast<size_t>(n),
                 1.0 / std::sqrt(static_cast<double>(n)));
 }
 
-// `steps` sweeps of weighted Jacobi on the eigen-residual L x - rho(x) x:
-// the classic multigrid smoother, damping exactly the high-frequency error
-// that piecewise-constant prolongation introduces.
-void JacobiSmoothBlock(const SparseMatrix& lap, int steps, double omega,
-                       VectorBlock& block, int64_t& matvecs) {
+// kSmoothSteps sweeps of weighted Jacobi on the eigen-residual
+// L x - rho(x) x: the classic multigrid smoother, damping exactly the
+// high-frequency error that piecewise-constant prolongation introduces.
+void JacobiSmoothBlock(const SparseMatrix& lap, VectorBlock& block,
+                       int64_t& matvecs) {
   const int64_t n = lap.rows();
   const Vector diag = lap.Diagonal();
   Vector inv_diag(static_cast<size_t>(n), 0.0);
@@ -32,7 +44,7 @@ void JacobiSmoothBlock(const SparseMatrix& lap, int steps, double omega,
     if (diag[i] > 0.0) inv_diag[i] = 1.0 / diag[i];
   }
   Vector y(static_cast<size_t>(n));
-  for (int step = 0; step < steps; ++step) {
+  for (int step = 0; step < kSmoothSteps; ++step) {
     for (Vector& x : block) {
       lap.MatVec(x, y);
       ++matvecs;
@@ -40,49 +52,20 @@ void JacobiSmoothBlock(const SparseMatrix& lap, int steps, double omega,
       if (norm2 <= 0.0) continue;
       const double rho = Dot(x, y) / norm2;
       for (size_t i = 0; i < x.size(); ++i) {
-        x[i] -= omega * inv_diag[i] * (y[i] - rho * x[i]);
+        x[i] -= kJacobiOmega * inv_diag[i] * (y[i] - rho * x[i]);
       }
     }
   }
 }
 
-// Loose-tolerance polish of `block` against this level's Laplacian. Best
-// effort by design: a non-converged (or failed) polish leaves the smoothed
-// block in place — the warm start must never be able to sink the solve.
-void PolishBlock(const SparseMatrix& lap, const WarmStartOptions& options,
-                 VectorBlock& block, int64_t& matvecs) {
-  const int64_t n = lap.rows();
-  const double shift = lap.GershgorinBound() * 1.0001 + 1e-12;
-  SparseOperator lap_op(&lap);
-  const ShiftNegateOperator op(&lap_op, shift);
-  std::vector<Vector> deflate;
-  deflate.push_back(OnesKernel(n));
-
-  BlockLanczosOptions lopt;
-  lopt.num_pairs = static_cast<int>(block.size());
-  lopt.block_size = static_cast<int>(block.size()) + 2;
-  lopt.max_basis = options.level_max_basis;
-  lopt.max_restarts = options.level_max_restarts;
-  lopt.tol = options.level_tol;
-  lopt.seed = options.seed;
-  lopt.cheb_degree_max = options.cheb_degree_max;
-  lopt.start = block;
-  auto polished = LargestEigenpairsBlock(op, deflate, lopt);
-  if (!polished.ok()) return;
-  matvecs += polished->matvecs;
-  if (polished->eigenvectors.empty()) return;
-  // Largest theta of shift*I - L first == ascending Laplacian eigenvalues.
-  block = std::move(polished->eigenvectors);
-}
-
 }  // namespace
 
 StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
-    std::span<const WarmStartLevel> levels, const WarmStartOptions& options) {
+    std::span<const WarmStartLevel> levels, const FiedlerOptions& fine) {
   if (levels.empty()) {
     return InvalidArgumentError("warm start needs at least one level");
   }
-  SPECTRAL_CHECK_GE(options.num_vectors, 1);
+  SPECTRAL_CHECK_GE(fine.num_pairs, 1);
   for (size_t k = 0; k + 1 < levels.size(); ++k) {
     SPECTRAL_CHECK_EQ(static_cast<int64_t>(levels[k].fine_to_coarse.size()),
                       levels[k].laplacian.rows())
@@ -98,9 +81,9 @@ StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
   if (cn < 2) {
     return InvalidArgumentError("coarsest level has fewer than 2 vertices");
   }
-  const int64_t vectors = std::min<int64_t>(options.num_vectors, cn - 1);
+  const int64_t vectors = std::min<int64_t>(fine.num_pairs, cn - 1);
   VectorBlock block;
-  if (cn <= options.dense_limit) {
+  if (cn <= kDenseLimit) {
     auto eig = JacobiEigenSolve(DenseMatrix::FromSparse(coarsest));
     if (!eig.ok()) return eig.status();
     const double zero_tol = 1e-8 * std::max(1.0, coarsest.GershgorinBound());
@@ -128,14 +111,11 @@ StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
     deflate.push_back(OnesKernel(cn));
     BlockLanczosOptions lopt;
     lopt.num_pairs = static_cast<int>(vectors);
-    lopt.max_basis = options.level_max_basis;
-    // This is the only solve the coarsest level gets, so it needs a real
-    // restart budget even when the per-level polish is disabled
-    // (level_max_restarts == 0, the default).
-    lopt.max_restarts = std::max(options.level_max_restarts, 4);
-    lopt.tol = options.level_tol;
-    lopt.seed = options.seed;
-    lopt.cheb_degree_max = options.cheb_degree_max;
+    lopt.max_basis = kStalledMaxBasis;
+    lopt.max_restarts = kStalledMaxRestarts;
+    lopt.tol = kStalledTol;
+    lopt.seed = fine.seed;
+    lopt.cheb_degree_max = fine.cheb_degree_max;
     auto coarse = LargestEigenpairsBlock(op, deflate, lopt);
     if (!coarse.ok()) return coarse.status();
     result.matvecs += coarse->matvecs;
@@ -148,21 +128,20 @@ StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
     }
   }
 
-  // --- Ascend: prolong, smooth, loosely polish every intermediate level.
+  // --- Ascend: prolong and smooth up to the finest level.
   for (size_t k = levels.size() - 1; k-- > 0;) {
     const SparseMatrix& lap = levels[k].laplacian;
     const std::vector<int64_t>& map = levels[k].fine_to_coarse;
     const int64_t n = lap.rows();
     for (Vector& column : block) {
-      Vector fine(static_cast<size_t>(n));
+      Vector prolonged(static_cast<size_t>(n));
       for (int64_t v = 0; v < n; ++v) {
-        fine[static_cast<size_t>(v)] =
+        prolonged[static_cast<size_t>(v)] =
             column[static_cast<size_t>(map[static_cast<size_t>(v)])];
       }
-      column = std::move(fine);
+      column = std::move(prolonged);
     }
-    JacobiSmoothBlock(lap, options.smooth_steps, options.jacobi_omega, block,
-                      result.matvecs);
+    JacobiSmoothBlock(lap, block, result.matvecs);
     // Project out the all-ones kernel and re-orthonormalize on the packed
     // kernels; survivors keep their order.
     const int64_t cols = static_cast<int64_t>(block.size());
@@ -179,9 +158,6 @@ StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
       packed.CopyColumnOut(c, block[static_cast<size_t>(c)]);
     }
     if (block.empty()) break;  // degenerate smoothing collapse: cold start
-    if (k > 0 && options.level_max_restarts > 0 && options.level_tol > 0) {
-      PolishBlock(lap, options, block, result.matvecs);
-    }
   }
 
   result.block = std::move(block);

@@ -37,4 +37,36 @@ InducedSubgraph BuildInducedSubgraph(const Graph& graph,
   return sub;
 }
 
+std::vector<InducedSubgraph> SplitByLabel(const Graph& graph,
+                                          std::span<const int64_t> labels,
+                                          int64_t num_labels) {
+  const int64_t n = graph.num_vertices();
+  SPECTRAL_CHECK_EQ(static_cast<int64_t>(labels.size()), n);
+  SPECTRAL_CHECK_GE(num_labels, 0);
+  std::vector<InducedSubgraph> parts(static_cast<size_t>(num_labels));
+  // local[v] is v's id within its part: the one O(n) scratch array.
+  std::vector<int64_t> local(static_cast<size_t>(n));
+  for (int64_t v = 0; v < n; ++v) {
+    const int64_t p = labels[static_cast<size_t>(v)];
+    SPECTRAL_CHECK_GE(p, 0);
+    SPECTRAL_CHECK_LT(p, num_labels);
+    std::vector<int64_t>& members =
+        parts[static_cast<size_t>(p)].local_to_global;
+    local[static_cast<size_t>(v)] = static_cast<int64_t>(members.size());
+    members.push_back(v);
+  }
+  std::vector<std::vector<GraphEdge>> edges(static_cast<size_t>(num_labels));
+  graph.ForEachEdge([&](int64_t u, int64_t v, double w) {
+    const int64_t p = labels[static_cast<size_t>(u)];
+    if (labels[static_cast<size_t>(v)] != p) return;
+    edges[static_cast<size_t>(p)].push_back(
+        {local[static_cast<size_t>(u)], local[static_cast<size_t>(v)], w});
+  });
+  for (size_t p = 0; p < parts.size(); ++p) {
+    parts[p].graph = Graph::FromEdges(
+        static_cast<int64_t>(parts[p].local_to_global.size()), edges[p]);
+  }
+  return parts;
+}
+
 }  // namespace spectral

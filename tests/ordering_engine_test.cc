@@ -122,6 +122,42 @@ TEST(OrderingEngineRegistry, AffinityRequestMatchesAffinityOptions) {
   EXPECT_EQ(a->embedding, b->embedding);
 }
 
+// One malformed affinity edge, sent to every engine that reads affinity
+// edges: all of them build the request graph through BuildRequestGraph and
+// must reject it with the same InvalidArgument message.
+struct MalformedAffinityCase {
+  GraphEdge edge;
+  std::string message;
+};
+
+class MalformedAffinityEdge : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MalformedAffinityEdge, IsRejectedWithTheSameMessage) {
+  const PointSet points = PointSet::FullGrid(GridSpec({6, 6}));
+  const std::vector<MalformedAffinityCase> cases = {
+      {{0, 36, 1.0}, "affinity edge endpoint out of range"},
+      {{-1, 3, 1.0}, "affinity edge endpoint out of range"},
+      {{4, 4, 1.0}, "affinity edge endpoints must differ"},
+      {{0, 35, 0.0}, "affinity edge weight must be positive"},
+      {{0, 35, -2.0}, "affinity edge weight must be positive"},
+  };
+  auto engine = MakeOrderingEngine(GetParam());
+  ASSERT_TRUE(engine.ok());
+  for (const MalformedAffinityCase& c : cases) {
+    OrderingRequest request =
+        OrderingRequest::ForPointsWithAffinity(points, {c.edge}, GetParam());
+    request.options.sharded.num_shards = 2;
+    auto result = (*engine)->Order(request);
+    ASSERT_FALSE(result.ok()) << GetParam() << ": " << c.message;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.status().message(), c.message) << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SpectralFamily, MalformedAffinityEdge,
+                         ::testing::Values("spectral", "bisection",
+                                           "sharded-spectral"));
+
 TEST(OrderingEngineRegistry, CurveAdaptersMatchOrderByCurve) {
   const PointSet points = PointSet::FullGrid(GridSpec({16, 16}));
   for (CurveKind kind : AllCurveKinds()) {

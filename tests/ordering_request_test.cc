@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ordering_engine.h"
 #include "core/ordering_request.h"
 #include "space/point_set.h"
 #include "util/thread_pool.h"
@@ -236,6 +237,23 @@ TEST(OrderingRequestFingerprint, OnlyTheNamedEnginesOptionsParticipate) {
     s.options.sharded.num_shards = 4;
     EXPECT_NE(s.Fingerprint(), base_request.Fingerprint());
   }
+}
+
+TEST(OrderingRequestFingerprint, BisectionWarmStartChildrenIsHashed) {
+  // Warm-starting the children changes the bisection result's diagnostics
+  // (warm_solves, matvecs), so the two requests must not share a cache key.
+  const PointSet points = PointSet::FullGrid(GridSpec({48, 40}));
+  const OrderingRequest warm = OrderingRequest::ForPoints(points, "bisection");
+  OrderingRequest cold = warm;
+  cold.options.bisection.warm_start_children = false;
+  auto engine = MakeOrderingEngine("bisection");
+  ASSERT_TRUE(engine.ok());
+  auto warm_result = (*engine)->Order(warm);
+  auto cold_result = (*engine)->Order(cold);
+  ASSERT_TRUE(warm_result.ok()) << warm_result.status();
+  ASSERT_TRUE(cold_result.ok()) << cold_result.status();
+  EXPECT_NE(warm_result->detail, cold_result->detail);
+  EXPECT_NE(warm.Fingerprint(), cold.Fingerprint());
 }
 
 TEST(OrderingRequestFingerprint, RuntimeOnlyFieldsAreExcluded) {

@@ -1,10 +1,13 @@
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/recursive_bisection.h"
 #include "graph/grid_graph.h"
 #include "graph/subgraph.h"
+#include "graph/traversal.h"
 #include "workload/generators.h"
 
 namespace spectral {
@@ -34,6 +37,74 @@ TEST(Subgraph, EmptySelection) {
   const Graph g = BuildGridGraph(GridSpec({3}));
   const InducedSubgraph sub = BuildInducedSubgraph(g, {});
   EXPECT_EQ(sub.graph.num_vertices(), 0);
+}
+
+// A 10x7 grid with uneven weights; edges with (u + v) % divisor == 0 are
+// dropped, so divisor 3 splits it into many components.
+Graph WeightedGrid(int64_t divisor) {
+  std::vector<GraphEdge> edges;
+  BuildGridGraph(GridSpec({10, 7})).ForEachEdge(
+      [&](int64_t u, int64_t v, double) {
+        if ((u + v) % divisor == 0) return;
+        edges.push_back({u, v, 1.0 + 0.25 * static_cast<double>((u * v) % 7)});
+      });
+  return Graph::FromEdges(70, edges);
+}
+
+// SplitByLabel must return, for every label, exactly the CSR that
+// BuildInducedSubgraph builds from that label's ascending vertex list.
+void ExpectSplitMatchesInducedSubgraphs(const Graph& graph,
+                                        const std::vector<int64_t>& labels,
+                                        int64_t num_labels) {
+  const std::vector<InducedSubgraph> parts =
+      SplitByLabel(graph, labels, num_labels);
+  ASSERT_EQ(static_cast<int64_t>(parts.size()), num_labels);
+  for (int64_t p = 0; p < num_labels; ++p) {
+    std::vector<int64_t> members;
+    for (int64_t v = 0; v < graph.num_vertices(); ++v) {
+      if (labels[static_cast<size_t>(v)] == p) members.push_back(v);
+    }
+    const InducedSubgraph expected = BuildInducedSubgraph(graph, members);
+    const InducedSubgraph& part = parts[static_cast<size_t>(p)];
+    EXPECT_EQ(part.local_to_global, expected.local_to_global) << "part " << p;
+    ASSERT_EQ(part.graph.num_vertices(), expected.graph.num_vertices());
+    EXPECT_EQ(part.graph.num_edges(), expected.graph.num_edges());
+    for (int64_t v = 0; v < part.graph.num_vertices(); ++v) {
+      const auto nbrs = part.graph.Neighbors(v);
+      const auto expected_nbrs = expected.graph.Neighbors(v);
+      EXPECT_TRUE(std::equal(nbrs.begin(), nbrs.end(), expected_nbrs.begin(),
+                             expected_nbrs.end()))
+          << "part " << p << " vertex " << v;
+      const auto ws = part.graph.Weights(v);
+      const auto expected_ws = expected.graph.Weights(v);
+      EXPECT_TRUE(std::equal(ws.begin(), ws.end(), expected_ws.begin(),
+                             expected_ws.end()))
+          << "part " << p << " vertex " << v;
+    }
+  }
+}
+
+TEST(Subgraph, SplitByComponentsMatchesInducedSubgraphs) {
+  const Graph graph = WeightedGrid(3);
+  int64_t num_components = 0;
+  const std::vector<int64_t> comp = ConnectedComponents(graph, &num_components);
+  ASSERT_GT(num_components, 2);
+  ExpectSplitMatchesInducedSubgraphs(graph, comp, num_components);
+}
+
+TEST(Subgraph, SplitByArbitraryLabelsMatchesInducedSubgraphs) {
+  const Graph graph = WeightedGrid(11);
+  // Labels 0-3 interleave; 4 and 5 stay empty; 6 holds one vertex.
+  std::vector<int64_t> labels(70);
+  for (int64_t v = 0; v < 70; ++v) {
+    labels[static_cast<size_t>(v)] = (v * 5 + v / 3) % 4;
+  }
+  labels[13] = 6;
+  ExpectSplitMatchesInducedSubgraphs(graph, labels, 7);
+  // Every vertex under one label reproduces the whole graph.
+  ExpectSplitMatchesInducedSubgraphs(graph, std::vector<int64_t>(70, 0), 1);
+  // No vertices: every part is empty.
+  ExpectSplitMatchesInducedSubgraphs(Graph::FromEdges(0, {}), {}, 2);
 }
 
 TEST(RecursiveBisection, PathOrderIsContiguous) {

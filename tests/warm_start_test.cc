@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mapping_service.h"
+#include "core/multilevel.h"
 #include "core/ordering_request.h"
 #include "eigen/fiedler.h"
 #include "eigen/warm_start.h"
@@ -145,16 +146,10 @@ TEST(WarmStart, GarbageWarmStartConvergesToTheSameFiedlerVector) {
 
 TEST(WarmStart, BlockIsKernelOrthogonalAndAccurate) {
   const Graph g = BuildGridGraph(GridSpec({40, 20}));
-  const CoarseningHierarchy hierarchy = BuildCoarseningHierarchy(g, {});
-  ASSERT_FALSE(hierarchy.steps.empty());
-  std::vector<WarmStartLevel> levels(hierarchy.steps.size() + 1);
-  levels[0].laplacian = BuildLaplacian(g);
-  for (size_t k = 0; k < hierarchy.steps.size(); ++k) {
-    levels[k].fine_to_coarse = hierarchy.steps[k].fine_to_coarse;
-    levels[k + 1].laplacian = BuildLaplacian(hierarchy.steps[k].coarse);
-  }
-  WarmStartOptions options;
-  options.num_vectors = 3;
+  const std::vector<WarmStartLevel> levels = BuildWarmStartLevels(g);
+  ASSERT_GT(levels.size(), 1u);
+  FiedlerOptions options;
+  options.num_pairs = 3;
   auto warm = MultilevelFiedlerWarmStart(levels, options);
   ASSERT_TRUE(warm.ok()) << warm.status();
   ASSERT_EQ(warm->block.size(), 3u);
@@ -186,14 +181,7 @@ TEST(WarmStart, DetectsDisconnectionThroughTheHierarchy) {
     edges.push_back({u + m, v + m, w});
   });
   const Graph two = Graph::FromEdges(2 * m, edges);
-  const CoarseningHierarchy hierarchy = BuildCoarseningHierarchy(two, {});
-  std::vector<WarmStartLevel> levels(hierarchy.steps.size() + 1);
-  levels[0].laplacian = BuildLaplacian(two);
-  for (size_t k = 0; k < hierarchy.steps.size(); ++k) {
-    levels[k].fine_to_coarse = hierarchy.steps[k].fine_to_coarse;
-    levels[k + 1].laplacian = BuildLaplacian(hierarchy.steps[k].coarse);
-  }
-  auto warm = MultilevelFiedlerWarmStart(levels, {});
+  auto warm = MultilevelFiedlerWarmStart(BuildWarmStartLevels(two), {});
   ASSERT_FALSE(warm.ok());
   EXPECT_EQ(warm.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -201,20 +189,19 @@ TEST(WarmStart, DetectsDisconnectionThroughTheHierarchy) {
 TEST(WarmStart, StalledCoarseningFallsBackToColdCoarsestSolve) {
   // A 600-vertex star stalls heavy-edge matching immediately (only the hub
   // can match), so the hierarchy has zero steps and the "coarsest" level
-  // is the 600-vertex input — above dense_limit, which routes into the
-  // cold loose block-solve fallback. That path must work even with the
-  // default level_max_restarts == 0 (regression: it used to CHECK-fail on
-  // a zero restart budget).
+  // is the 600-vertex input — above the dense limit (512), which routes
+  // into the cold loose block-solve fallback. That path must have a real
+  // restart budget of its own (regression: it used to CHECK-fail on a
+  // zero restart budget).
   const int64_t n = 600;
   std::vector<GraphEdge> edges;
   for (int64_t leaf = 1; leaf < n; ++leaf) edges.push_back({0, leaf, 1.0});
   const Graph star = Graph::FromEdges(n, edges);
-  const CoarseningHierarchy hierarchy = BuildCoarseningHierarchy(star, {});
-  EXPECT_TRUE(hierarchy.steps.empty());
-  std::vector<WarmStartLevel> levels(1);
-  levels[0].laplacian = BuildLaplacian(star);
-  WarmStartOptions options;
-  options.num_vectors = 2;
+  EXPECT_TRUE(BuildCoarseningHierarchy(star, {}).steps.empty());
+  const std::vector<WarmStartLevel> levels = BuildWarmStartLevels(star);
+  ASSERT_EQ(levels.size(), 1u);
+  FiedlerOptions options;
+  options.num_pairs = 2;
   auto warm = MultilevelFiedlerWarmStart(levels, options);
   ASSERT_TRUE(warm.ok()) << warm.status();
   ASSERT_FALSE(warm->block.empty());
