@@ -27,6 +27,7 @@
 #include "graph/point_graph.h"
 #include "linalg/packed_basis.h"
 #include "linalg/sparse_matrix.h"
+#include "reference/lanczos.h"
 #include "space/point_set.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -157,17 +158,28 @@ void RunMethod(const std::string& method, const Workload& w,
   FiedlerOptions options;
   options.num_pairs = 3;
   WallTimer timer;
-  StatusOr<FiedlerResult> result = [&]() {
+  StatusOr<FiedlerResult> result = [&]() -> StatusOr<FiedlerResult> {
     if (method == "multilevel-warm") {
       return ComputeFiedlerMultilevel(w.graph, {}, options, w.axes);
     }
+    if (method == "lanczos") {
+      // The out-of-library oracle: raw pairs and counters only, which is
+      // all this bench reports.
+      auto oracle = LanczosPath(w.laplacian, options);
+      if (!oracle.ok()) return oracle.status();
+      FiedlerResult out;
+      out.pairs = std::move(oracle->pairs);
+      out.lambda2 = out.pairs[0].eigenvalue;
+      out.matvecs = oracle->matvecs;
+      out.restarts = oracle->restarts;
+      out.method_used = "lanczos";
+      return out;
+    }
     if (method == "dense") {
-      options.method = FiedlerMethod::kDense;
-    } else if (method == "lanczos") {
-      options.method = FiedlerMethod::kLanczos;
+      options.dense_threshold = w.laplacian.rows();
     } else {
       SPECTRAL_CHECK_EQ(method, "block");
-      options.method = FiedlerMethod::kBlockLanczos;
+      options.dense_threshold = 0;
     }
     return ComputeFiedler(w.laplacian, options, w.axes);
   }();

@@ -1,9 +1,9 @@
-#include "eigen/lanczos.h"
+#include "reference/lanczos.h"
 
 #include <algorithm>
 #include <cmath>
 
-#include "eigen/tridiagonal.h"
+#include "reference/tridiagonal.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -145,6 +145,55 @@ StatusOr<LanczosResult> LargestEigenpair(const LinearOperator& op,
     start = ritz;  // restart from the best current estimate
   }
   return result;  // best effort, converged == false
+}
+
+StatusOr<LanczosPathResult> LanczosPath(const SparseMatrix& laplacian,
+                                        const FiedlerOptions& options) {
+  const int64_t n = laplacian.rows();
+  SPECTRAL_CHECK_EQ(n, laplacian.cols());
+  SPECTRAL_CHECK_GE(n, 2);
+  const double zero_tol = 1e-8 * std::max(1.0, laplacian.GershgorinBound());
+  const double shift = laplacian.GershgorinBound() * 1.0001 + 1e-12;
+
+  SparseOperator lap_op(&laplacian, options.matvec_pool);
+  ShiftNegateOperator op(&lap_op, shift);
+
+  // Deflate the exact kernel vector 1/sqrt(n).
+  std::vector<Vector> deflate;
+  deflate.emplace_back(static_cast<size_t>(n),
+                       1.0 / std::sqrt(static_cast<double>(n)));
+
+  LanczosOptions lopt;
+  lopt.max_restarts = options.max_restarts;
+  lopt.tol = options.tol;
+  lopt.seed = options.seed;
+
+  LanczosPathResult result;
+  const int64_t want = std::min<int64_t>(options.num_pairs, n - 1);
+  for (int64_t k = 0; k < want; ++k) {
+    auto lan = LargestEigenpair(op, deflate, lopt);
+    if (!lan.ok()) return lan.status();
+    result.matvecs += lan->matvecs;
+    result.restarts += lan->restarts;
+    if (!lan->converged && k > 0) break;  // keep the converged prefix
+    LaplacianEigenPair pair;
+    pair.eigenvalue = shift - lan->eigenvalue;
+    pair.eigenvector = lan->eigenvector;
+    if (!lan->converged) {
+      // The Fiedler pair itself missed tolerance: an unconverged estimate
+      // cannot prove a second kernel vector, so no disconnected check.
+      result.converged = false;
+      result.pairs.push_back(std::move(pair));
+      break;
+    }
+    if (k == 0 && pair.eigenvalue < zero_tol) {
+      return FailedPreconditionError(
+          "Laplacian has multiple zero eigenvalues: graph is disconnected");
+    }
+    deflate.push_back(pair.eigenvector);
+    result.pairs.push_back(std::move(pair));
+  }
+  return result;
 }
 
 }  // namespace spectral

@@ -1,4 +1,4 @@
-#include "eigen/tridiagonal.h"
+#include "reference/tridiagonal.h"
 
 #include <algorithm>
 #include <cmath>

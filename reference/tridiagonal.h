@@ -1,9 +1,10 @@
 // Symmetric tridiagonal eigensolver (implicit QL with Wilkinson-style
-// shifts). Used by Lanczos to diagonalize its projected tridiagonal matrix;
-// the projected problems are small (<= max_basis), so O(m^3) is fine.
+// shifts). Used by the Lanczos oracle (reference/lanczos.h) to diagonalize
+// its projected tridiagonal matrix; the projected problems are small
+// (<= max_basis), so O(m^3) is fine.
 
-#ifndef SPECTRAL_LPM_EIGEN_TRIDIAGONAL_H_
-#define SPECTRAL_LPM_EIGEN_TRIDIAGONAL_H_
+#ifndef SPECTRAL_LPM_REFERENCE_TRIDIAGONAL_H_
+#define SPECTRAL_LPM_REFERENCE_TRIDIAGONAL_H_
 
 #include "linalg/dense_matrix.h"
 #include "linalg/vector_ops.h"
@@ -28,4 +29,4 @@ StatusOr<TridiagonalEigenResult> SolveTridiagonal(const Vector& diag,
 
 }  // namespace spectral
 
-#endif  // SPECTRAL_LPM_EIGEN_TRIDIAGONAL_H_
+#endif  // SPECTRAL_LPM_REFERENCE_TRIDIAGONAL_H_

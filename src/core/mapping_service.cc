@@ -10,13 +10,15 @@ namespace spectral {
 
 namespace {
 
-// How a batch slot was served, recorded on OrderingResult::detail. The tag
-// mirrors what a one-at-a-time replay would report, so batched and serial
-// results stay byte-identical.
-enum class ServeKind { kOff, kHit, kMiss };
-
+// Records how a batch slot was served, as the typed field and as the
+// " | cache=..." tag rendered from it onto detail. Both mirror what a
+// one-at-a-time replay would report, so batched and serial results stay
+// byte-identical.
 void Annotate(OrderingResult& result, ServeKind kind) {
+  result.served_from = kind;
   switch (kind) {
+    case ServeKind::kDirect:
+      return;
     case ServeKind::kOff:
       result.detail += " | cache=off";
       return;

@@ -16,8 +16,9 @@
 // Determinism contract: results are byte-identical to issuing the requests
 // one at a time against a fresh engine — cache on or off, any parallelism —
 // because every engine solve is deterministic and independent. The only
-// service-added artifact is a " | cache=hit|miss|off" suffix on
-// OrderingResult::detail recording how each request was served; hit/miss/
+// service-added artifacts record how each request was served: the typed
+// OrderingResult::served_from and the " | cache=hit|miss|off" suffix
+// rendered from it onto OrderingResult::detail; hit/miss/
 // eviction *counters* live in the MappingServiceStats struct. (One
 // divergence from a strict serial replay: within a batch, duplicate
 // requests are served from one solve even if a serial replay would have
@@ -112,9 +113,9 @@ struct MappingServiceStats {
 };
 
 /// One persistable order-cache entry: the cache key plus the engine result
-/// exactly as the LRU stores it (no " | cache=..." annotation — that tag is
-/// added per serve, not per entry). See core/serialization.h for the
-/// snapshot wire format.
+/// exactly as the LRU stores it (served_from == kDirect and no
+/// " | cache=..." annotation — both are added per serve, not per entry).
+/// See core/serialization.h for the snapshot wire format.
 struct OrderCacheEntry {
   Fingerprint128 fingerprint;
   OrderingResult result;

@@ -17,75 +17,6 @@ constexpr std::string_view kSpectralName = "spectral";
 constexpr std::string_view kSpectralMultilevelName = "spectral-multilevel";
 constexpr std::string_view kBisectionName = "bisection";
 
-// Shared preamble: structural validity plus the addressing check that keeps
-// MappingService routing and cache keys honest.
-Status CheckRequest(const OrderingRequest& request, std::string_view engine) {
-  if (Status s = request.Validate(); !s.ok()) return s;
-  if (request.engine != engine) {
-    return InvalidArgumentError("request addressed to engine '" +
-                                request.engine + "' given to engine '" +
-                                std::string(engine) + "'");
-  }
-  return OkStatus();
-}
-
-OrderingResult FromSpectralResult(SpectralLpmResult result) {
-  OrderingResult out;
-  out.order = std::move(result.order);
-  out.method = result.method_used;
-  out.lambda2 = result.lambda2;
-  out.num_components = result.num_components;
-  out.matvecs = result.matvecs;
-  out.restarts = result.restarts;
-  out.spmm_calls = result.spmm_calls;
-  out.reorth_panels = result.reorth_panels;
-  out.profile = result.profile;
-  out.embedding = std::move(result.values);
-  out.converged = result.converged;
-  // Only the deterministic flop estimates go into detail (it is compared
-  // byte-for-byte by caching/sharding layers); wall times stay in
-  // `profile` for --profile output and bench share rows.
-  out.detail = "engine=" + out.method +
-               " lambda2=" + FormatDouble(out.lambda2) +
-               " components=" + FormatInt(out.num_components) +
-               " matvecs=" + FormatInt(out.matvecs) +
-               " restarts=" + FormatInt(out.restarts) +
-               " spmm=" + FormatInt(out.spmm_calls) +
-               " reorth_panels=" + FormatInt(out.reorth_panels) +
-               " flops=" + FormatInt(out.profile.spmm_flops) + "/" +
-               FormatInt(out.profile.reorth_flops) + "/" +
-               FormatInt(out.profile.hfill_flops) + "/" +
-               FormatInt(out.profile.rr_flops) + "/" +
-               FormatInt(out.profile.cheb_flops) +
-               " converged=" + (out.converged ? "1" : "0");
-  return out;
-}
-
-/// "spectral": the direct Fiedler-order adapter over SpectralMapper. Also
-/// registered as "spectral-multilevel", an alias with no option of its own
-/// (the multilevel cascade is the warm start of every large component);
-/// wire clients and committed baselines still address it by that name.
-class SpectralEngine : public OrderingEngine {
- public:
-  explicit SpectralEngine(std::string_view name) : name_(name) {}
-
-  std::string_view name() const override { return name_; }
-  bool supports_graph_input() const override { return true; }
-
-  StatusOr<OrderingResult> Order(const OrderingRequest& request) const override {
-    if (Status s = CheckRequest(request, name_); !s.ok()) return s;
-    const SpectralMapper mapper(request.EffectiveSpectralOptions());
-    auto result = request.input == OrderingInputKind::kGraph
-                      ? mapper.MapGraph(*request.graph, request.points.get())
-                      : mapper.Map(*request.points);
-    if (!result.ok()) return result.status();
-    return FromSpectralResult(std::move(*result));
-  }
-
- private:
-  std::string_view name_;
-};
-
 /// "bisection": recursive spectral median-cut adapter.
 class BisectionEngine : public OrderingEngine {
  public:
@@ -153,6 +84,16 @@ class CurveEngine : public OrderingEngine {
 
 }  // namespace
 
+Status CheckRequest(const OrderingRequest& request, std::string_view engine) {
+  if (Status s = request.Validate(); !s.ok()) return s;
+  if (request.engine != engine) {
+    return InvalidArgumentError("request addressed to engine '" +
+                                request.engine + "' given to engine '" +
+                                std::string(engine) + "'");
+  }
+  return OkStatus();
+}
+
 std::vector<std::string> AllOrderingEngineNames() {
   std::vector<std::string> names = {std::string(kSpectralName),
                                     std::string(kSpectralMultilevelName),
@@ -167,9 +108,7 @@ std::vector<std::string> AllOrderingEngineNames() {
 StatusOr<std::unique_ptr<OrderingEngine>> MakeOrderingEngine(
     std::string_view name) {
   if (name == kSpectralName || name == kSpectralMultilevelName) {
-    return std::unique_ptr<OrderingEngine>(
-        new SpectralEngine(name == kSpectralName ? kSpectralName
-                                                 : kSpectralMultilevelName));
+    return MakeSpectralEngine(name);
   }
   if (name == kShardedSpectralEngineName) {
     return MakeShardedSpectralEngine();

@@ -34,13 +34,28 @@
 
 namespace spectral {
 
+/// How MappingService served a result (OrderingResult::served_from).
+enum class ServeKind {
+  /// Not served through a MappingService: a direct engine call, or an
+  /// entry as the order cache stores it.
+  kDirect,
+  /// The service ran with its order cache disabled.
+  kOff,
+  /// From the order cache, or a duplicate of an earlier request in the
+  /// same batch.
+  kHit,
+  /// Solved by an engine for this batch.
+  kMiss,
+};
+
 /// A linear order plus the diagnostics of whichever method produced it.
 /// Fields a method does not populate keep their zero defaults.
 struct OrderingResult {
   LinearOrder order;
 
-  /// Which concrete solver/curve produced the order ("lanczos",
-  /// "dense-jacobi", "median-cut", a curve name, ...).
+  /// Which concrete solver/curve produced the order ("dense-jacobi",
+  /// "block-lanczos", "block-lanczos+warm", "trivial", "median-cut", a
+  /// curve name, ...).
   std::string method;
 
   // Spectral family (spectral, spectral-multilevel, bisection).
@@ -73,10 +88,13 @@ struct OrderingResult {
   Coord grid_side = 0;
   int64_t grid_cells = 0;
 
-  /// One-line, method-specific summary ("engine=lanczos", "grid_side=64",
-  /// ...) for CLIs and bench logs. MappingService appends a " | cache=..."
-  /// suffix recording how it served the request.
+  /// One-line, method-specific summary ("engine=block-lanczos",
+  /// "grid_side=64", ...) for CLIs and bench logs. MappingService appends a
+  /// " | cache=off|hit|miss" suffix rendered from `served_from`.
   std::string detail;
+
+  /// How MappingService served this result; kDirect for engine calls.
+  ServeKind served_from = ServeKind::kDirect;
 
   /// False when a spectral solve exhausted its restart budget and the order
   /// is a best-effort estimate (mirrored as a "converged=0/1" token in
@@ -106,6 +124,11 @@ class OrderingEngine {
   virtual StatusOr<OrderingResult> Order(
       const OrderingRequest& request) const = 0;
 };
+
+/// The preamble of every engine's Order(): request.Validate(), then
+/// InvalidArgument when the request is addressed to an engine other than
+/// `engine` (keeps MappingService routing and cache keys honest).
+Status CheckRequest(const OrderingRequest& request, std::string_view engine);
 
 /// Every registry name, in presentation order: the spectral family first,
 /// then the curve families (the concrete list lives in the registry; CLIs

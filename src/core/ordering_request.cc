@@ -39,19 +39,14 @@ void HashEdges(Hasher& h, const std::vector<GraphEdge>& edges) {
 void HashFiedlerOptions(Hasher& h, const FiedlerOptions& o) {
   // matvec_pool is a runtime resource with no effect on the result
   // (row-partitioned matvecs are bit-identical to serial) — excluded.
-  h.MixEnum(o.method)
-      .MixInt(o.dense_threshold)
+  h.MixInt(o.dense_threshold)
       .MixInt(o.num_pairs)
       .MixDouble(o.tol)
-      .MixInt(o.max_basis)
       .MixInt(o.max_restarts)
       .MixUint(o.seed)
-      .MixInt(o.block_size)
       .MixInt(o.block_max_basis)
       .MixInt(o.cheb_degree_max)
-      .MixDouble(o.degeneracy_rel_tol)
-      .MixDouble(o.degeneracy_abs_tol)
-      .MixEnum(o.degeneracy_policy);
+      .MixDouble(o.degeneracy_rel_tol);
 }
 
 void HashSpectralOptions(Hasher& h, const SpectralLpmOptions& o) {

@@ -95,7 +95,7 @@ struct Bisector {
   }
 
   // Local positions of `verts` by quantized Fiedler value (ties by global
-  // id, like SpectralMapper). Children re-canonicalize the Fiedler sign
+  // id, like the spectral engine). Children re-canonicalize the Fiedler sign
   // independently, which would flip segment directions at random and
   // break the concatenated order, so the result is aligned with the
   // incoming vertex order (`verts` arrives sorted by the parent's values):

@@ -51,8 +51,8 @@ struct RecursiveBisectionResult {
 };
 
 /// Orders `points` by recursive spectral (median-cut) bisection. Handles
-/// disconnected graphs like SpectralMapper: components are ordered largest
-/// first and concatenated.
+/// disconnected graphs like the spectral engine: components are ordered
+/// largest first and concatenated.
 StatusOr<RecursiveBisectionResult> RecursiveSpectralOrder(
     const PointSet& points, const RecursiveBisectionOptions& options = {});
 

@@ -147,6 +147,10 @@ StatusOr<PointSet> ReadPointSet(std::istream& in) {
     for (int a = 0; a < dims; ++a) {
       int64_t c;
       if (!(in >> c)) return InvalidArgumentError("truncated point list");
+      if (c < std::numeric_limits<Coord>::min() ||
+          c > std::numeric_limits<Coord>::max()) {
+        return InvalidArgumentError("coordinate out of range");
+      }
       p[static_cast<size_t>(a)] = static_cast<Coord>(c);
     }
     points.Add(p);

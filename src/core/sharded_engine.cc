@@ -134,12 +134,9 @@ class ShardedSpectralEngine : public OrderingEngine {
 
   StatusOr<OrderingResult> Order(
       const OrderingRequest& request) const override {
-    if (Status s = request.Validate(); !s.ok()) return s;
-    if (request.engine != kShardedSpectralEngineName) {
-      return InvalidArgumentError(
-          "request addressed to engine '" + request.engine +
-          "' given to engine '" + std::string(kShardedSpectralEngineName) +
-          "'");
+    if (Status s = CheckRequest(request, kShardedSpectralEngineName);
+        !s.ok()) {
+      return s;
     }
     const ShardedEngineOptions& sharded = request.options.sharded;
     if (sharded.num_shards < 1) {

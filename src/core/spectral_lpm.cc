@@ -5,18 +5,17 @@
 #include <memory>
 #include <numeric>
 
+#include "core/ordering_engine.h"
 #include "eigen/operator.h"
 #include "graph/laplacian.h"
 #include "graph/subgraph.h"
 #include "graph/traversal.h"
 #include "util/check.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace spectral {
-
-SpectralMapper::SpectralMapper(SpectralLpmOptions options)
-    : options_(std::move(options)) {}
 
 StatusOr<Graph> BuildRequestGraph(const PointSet& points,
                                   const SpectralLpmOptions& options) {
@@ -70,17 +69,13 @@ std::vector<int64_t> QuantizedValueOrder(std::span<const double> values,
   return by_value;
 }
 
-StatusOr<SpectralLpmResult> SpectralMapper::Map(const PointSet& points) const {
-  if (points.empty()) {
-    return InvalidArgumentError("cannot map an empty point set");
-  }
-  auto graph = BuildRequestGraph(points, options_);
-  if (!graph.ok()) return graph.status();
-  return MapGraph(*graph, &points);
-}
+namespace {
 
-StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
-    const Graph& graph, const PointSet* points) const {
+// Steps 2-5 on `graph`: per-component Fiedler solves, each component sorted
+// by its quantized values, components concatenated largest first. `points`
+// (may be null) only canonicalizes degenerate eigenspaces.
+StatusOr<OrderingResult> OrderGraph(const Graph& graph, const PointSet* points,
+                                    const SpectralLpmOptions& options) {
   const int64_t n = graph.num_vertices();
   if (n == 0) return InvalidArgumentError("cannot map an empty graph");
   if (points != nullptr) {
@@ -108,9 +103,9 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
   // Per-component eigensolves. Components are independent Fiedler problems,
   // so they run concurrently on a pool (fed largest-first: the biggest solve
   // dominates the critical path); large single components instead gain from
-  // row-partitioned matvecs inside Lanczos. Every solve is deterministic and
-  // the concatenation below walks comp_order serially, so the result does
-  // not depend on the thread count.
+  // the pooled kernels inside the block solver. Every solve is deterministic
+  // and the concatenation below walks comp_order serially, so the result
+  // does not depend on the thread count.
   struct ComponentSolve {
     Status status;
     // fiedler.fiedler holds the component's values (zeros when unsolved).
@@ -119,15 +114,15 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
   };
   std::vector<ComponentSolve> solves(static_cast<size_t>(num_components));
 
-  // An external pool (options_.pool) is used as-is: the caller — typically
+  // An external pool (options.pool) is used as-is: the caller — typically
   // MappingService fanning a batch out — already sized it, and sharing it
   // avoids nesting one pool per request. Otherwise spawn our own, but only
   // when there is concurrent work: more than one component, or a single
   // component big enough for SparseOperator to row-partition its matvecs.
-  ThreadPool* pool = options_.pool;
+  ThreadPool* pool = options.pool;
   std::unique_ptr<ThreadPool> owned_pool;
   if (pool == nullptr) {
-    int threads = options_.parallelism;
+    int threads = options.parallelism;
     if (threads <= 0) threads = ThreadPool::DefaultThreads();
     const int64_t largest_component = static_cast<int64_t>(
         parts[static_cast<size_t>(comp_order[0])].local_to_global.size());
@@ -150,26 +145,21 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
     // feeds the coarsest dense solve, the prolong/smooth ascent, and the
     // full-accuracy fine block solve, so the exact engine converges at
     // near-multilevel speed with the same order as a cold solve. It only
-    // triggers when the fine solve would take the block path anyway; an
-    // explicitly forced kDense/kLanczos stays flat (those are the
-    // reference engines).
-    const bool block_capable =
-        options_.fiedler.method == FiedlerMethod::kBlockLanczos ||
-        (options_.fiedler.method == FiedlerMethod::kAuto &&
-         m > options_.fiedler.dense_threshold);
-    const bool use_warm = block_capable && options_.warm_start_threshold > 0 &&
-                          m >= options_.warm_start_threshold;
+    // triggers when the fine solve would take the block path anyway.
+    const bool block_capable = m > options.fiedler.dense_threshold;
+    const bool use_warm = block_capable && options.warm_start_threshold > 0 &&
+                          m >= options.warm_start_threshold;
     std::vector<Vector> axes;
-    if (points != nullptr && options_.canonicalize_with_axes) {
+    if (points != nullptr && options.canonicalize_with_axes) {
       PointSet sub_points(points->dims());
       for (int64_t v : verts) sub_points.Add((*points)[v]);
       axes = sub_points.CenteredAxisFunctions();
     }
-    FiedlerOptions fiedler_options = options_.fiedler;
+    FiedlerOptions fiedler_options = options.fiedler;
     fiedler_options.matvec_pool = pool;
     StatusOr<FiedlerResult> fiedler = [&]() -> StatusOr<FiedlerResult> {
       if (use_warm) {
-        return ComputeFiedlerMultilevel(sub, options_.multilevel,
+        return ComputeFiedlerMultilevel(sub, options.multilevel,
                                         fiedler_options, axes);
       }
       return ComputeFiedler(BuildLaplacian(sub), fiedler_options, axes);
@@ -182,7 +172,7 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
     // An injected solver fault demotes this solve to "unconverged" without
     // touching its (fully converged) values: downstream sees exactly what a
     // real stall would produce — a usable order flagged as best-effort.
-    if (FaultFires(options_.faults, "solver.converge")) {
+    if (FaultFires(options.faults, "solver.converge")) {
       out.fiedler.converged = false;
     }
     out.solved = true;
@@ -190,7 +180,7 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
 
   if (pool != nullptr) {
     // ParallelFor (not Submit + WaitIdle) so this stays deadlock-free when
-    // the mapper itself runs inside a task of an external pool: the caller
+    // the engine itself runs inside a task of an external pool: the caller
     // participates in draining chunks. The atomic cursor walks comp_order,
     // preserving the largest-first schedule.
     pool->ParallelFor(0, num_components, 1, [&](int64_t i) {
@@ -205,9 +195,9 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
     }
   }
 
-  SpectralLpmResult result;
+  OrderingResult result;
   result.num_components = num_components;
-  result.values.assign(static_cast<size_t>(n), 0.0);
+  result.embedding.assign(static_cast<size_t>(n), 0.0);
   std::vector<int64_t> ranks(static_cast<size_t>(n), -1);
   int64_t next_rank = 0;
   bool recorded_main = false;
@@ -227,28 +217,79 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
       result.converged = result.converged && solve.fiedler.converged;
       if (!recorded_main) {
         result.lambda2 = solve.fiedler.lambda2;
-        result.method_used = solve.fiedler.method_used;
+        result.method = solve.fiedler.method_used;
         recorded_main = true;
       }
     }
 
     // Step 5: order by quantized Fiedler component.
     const std::vector<int64_t> by_value =
-        QuantizedValueOrder(values, verts, options_.rank_quantum_rel);
+        QuantizedValueOrder(values, verts, options.rank_quantum_rel);
     for (int64_t k = 0; k < m; ++k) {
       const int64_t v = verts[static_cast<size_t>(by_value[static_cast<size_t>(k)])];
       ranks[static_cast<size_t>(v)] = next_rank++;
-      result.values[static_cast<size_t>(v)] =
+      result.embedding[static_cast<size_t>(v)] =
           values[static_cast<size_t>(by_value[static_cast<size_t>(k)])];
     }
   }
   SPECTRAL_CHECK_EQ(next_rank, n);
-  if (!recorded_main) result.method_used = "trivial";
+  if (!recorded_main) result.method = "trivial";
 
   auto order = LinearOrder::FromRanks(std::move(ranks));
   if (!order.ok()) return order.status();
   result.order = std::move(*order);
+  // Only the deterministic flop estimates go into detail (it is compared
+  // byte-for-byte by caching/sharding layers); wall times stay in
+  // `profile` for --profile output and bench share rows.
+  result.detail = "engine=" + result.method +
+                  " lambda2=" + FormatDouble(result.lambda2) +
+                  " components=" + FormatInt(result.num_components) +
+                  " matvecs=" + FormatInt(result.matvecs) +
+                  " restarts=" + FormatInt(result.restarts) +
+                  " spmm=" + FormatInt(result.spmm_calls) +
+                  " reorth_panels=" + FormatInt(result.reorth_panels) +
+                  " flops=" + FormatInt(result.profile.spmm_flops) + "/" +
+                  FormatInt(result.profile.reorth_flops) + "/" +
+                  FormatInt(result.profile.hfill_flops) + "/" +
+                  FormatInt(result.profile.rr_flops) + "/" +
+                  FormatInt(result.profile.cheb_flops) +
+                  " converged=" + (result.converged ? "1" : "0");
   return result;
+}
+
+/// "spectral" (also registered as "spectral-multilevel", an alias with no
+/// option of its own: the multilevel cascade is the warm start of every
+/// large component; wire clients and committed baselines still address it
+/// by that name).
+class SpectralEngine : public OrderingEngine {
+ public:
+  explicit SpectralEngine(std::string_view name) : name_(name) {}
+
+  std::string_view name() const override { return name_; }
+  bool supports_graph_input() const override { return true; }
+
+  StatusOr<OrderingResult> Order(const OrderingRequest& request) const override {
+    if (Status s = CheckRequest(request, name_); !s.ok()) return s;
+    const SpectralLpmOptions options = request.EffectiveSpectralOptions();
+    if (request.input == OrderingInputKind::kGraph) {
+      return OrderGraph(*request.graph, request.points.get(), options);
+    }
+    if (request.points->empty()) {
+      return InvalidArgumentError("cannot map an empty point set");
+    }
+    auto graph = BuildRequestGraph(*request.points, options);
+    if (!graph.ok()) return graph.status();
+    return OrderGraph(*graph, request.points.get(), options);
+  }
+
+ private:
+  std::string name_;
+};
+
+}  // namespace
+
+std::unique_ptr<OrderingEngine> MakeSpectralEngine(std::string_view name) {
+  return std::make_unique<SpectralEngine>(name);
 }
 
 }  // namespace spectral

@@ -8,16 +8,17 @@
 //
 // Extensions from section 4 are first-class options: affinity edges between
 // correlated points, 8-connectivity / Moore neighborhoods, and arbitrary
-// positive edge weights (the mapper also accepts a user-built Graph).
+// positive edge weights (the engine also accepts a user-built Graph).
 
 #ifndef SPECTRAL_LPM_CORE_SPECTRAL_LPM_H_
 #define SPECTRAL_LPM_CORE_SPECTRAL_LPM_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
-#include "core/linear_order.h"
 #include "core/multilevel.h"
 #include "eigen/fiedler.h"
 #include "graph/graph.h"
@@ -28,10 +29,12 @@
 namespace spectral {
 
 class FaultInjector;
+class OrderingEngine;
 
-/// Options for SpectralMapper.
+/// Options for the spectral family of engines (spectral, sharded-spectral,
+/// and the base of bisection).
 struct SpectralLpmOptions {
-  /// How the point graph is built (step 1). Ignored by MapGraph.
+  /// How the point graph is built (step 1). Ignored for kGraph requests.
   PointGraphOptions graph;
   /// Extra edges by *point index*, each pulling its endpoints together in
   /// the 1-d order (section 4: "add an edge (p, q) to inform Spectral LPM
@@ -73,7 +76,7 @@ struct SpectralLpmOptions {
   /// set, component solves and row-partitioned matvecs run on this pool and
   /// `parallelism` is ignored — MappingService hands its batch fan-out pool
   /// down here so one set of workers serves requests, components, and
-  /// matvecs instead of pools nesting. Safe to use when the mapper itself
+  /// matvecs instead of pools nesting. Safe to use when the engine itself
   /// runs inside a task of the same pool (the loops are ParallelFor-based:
   /// the caller participates, so they degrade to serial instead of
   /// deadlocking). Like `parallelism`, it never changes the result and is
@@ -86,36 +89,6 @@ struct SpectralLpmOptions {
   /// a fault-free run and is excluded from request fingerprints; in normal
   /// builds it is dead weight (every site folds to a no-op).
   FaultInjector* faults = nullptr;
-};
-
-/// Result of a spectral mapping.
-struct SpectralLpmResult {
-  /// The linear order S over the input points.
-  LinearOrder order;
-  /// Fiedler component assigned to each point (concatenated across
-  /// components; each component's vector has unit norm).
-  Vector values;
-  /// Algebraic connectivity of the largest component.
-  double lambda2 = 0.0;
-  int64_t num_components = 1;
-  /// Eigensolver matvec count (Krylov paths) summed over components.
-  int64_t matvecs = 0;
-  /// Restart cycles summed over components (block/scalar Krylov paths).
-  int64_t restarts = 0;
-  /// Fused block-operator (SpMM) applications summed over components.
-  int64_t spmm_calls = 0;
-  /// Reorthogonalization panel-kernel applications summed over components.
-  int64_t reorth_panels = 0;
-  /// Per-kernel wall time + deterministic flop estimates summed over
-  /// components (block path only; see eigen/kernel_profile.h).
-  KernelProfile profile;
-  /// "dense-jacobi", "block-lanczos[+warm]", "lanczos", or
-  /// "multilevel(...)+..." (of the largest component).
-  std::string method_used;
-  /// AND over the per-component solves: false when any component's Fiedler
-  /// pair missed tolerance (or an injected "solver.converge" fault fired)
-  /// and its order is a best-effort estimate. See FiedlerResult::converged.
-  bool converged = true;
 };
 
 /// Step 1 for every spectral-family engine: the neighborhood graph of
@@ -134,29 +107,16 @@ std::vector<int64_t> QuantizedValueOrder(std::span<const double> values,
                                          std::span<const int64_t> ids,
                                          double rank_quantum_rel);
 
-/// Maps multi-dimensional point sets to linear orders via the spectrum of
-/// their neighborhood graph.
-class SpectralMapper {
- public:
-  explicit SpectralMapper(SpectralLpmOptions options = {});
-
-  /// Runs the full pipeline on `points`. Disconnected graphs are handled by
-  /// ordering each connected component independently and concatenating
-  /// components (largest first; ties by lowest point index), since the
-  /// Fiedler vector is only defined per component.
-  StatusOr<SpectralLpmResult> Map(const PointSet& points) const;
-
-  /// Section-4 fully-custom entry point: the caller supplies the graph
-  /// (weights encode mapping priority). `points` is only used to
-  /// canonicalize degenerate eigenspaces and may be null.
-  StatusOr<SpectralLpmResult> MapGraph(const Graph& graph,
-                                       const PointSet* points) const;
-
-  const SpectralLpmOptions& options() const { return options_; }
-
- private:
-  SpectralLpmOptions options_;
-};
+/// Constructs the "spectral" engine under registry name `name` ("spectral"
+/// or its alias "spectral-multilevel"); the registry backend of
+/// MakeOrderingEngine. The engine runs the pipeline above on the request's
+/// points (or, for kGraph requests, on the caller's graph, with the
+/// optional points only canonicalizing degenerate eigenspaces).
+/// Disconnected graphs are handled by ordering each connected component
+/// independently and concatenating components (largest first; ties by
+/// lowest point index), since the Fiedler vector is only defined per
+/// component.
+std::unique_ptr<OrderingEngine> MakeSpectralEngine(std::string_view name);
 
 }  // namespace spectral
 

@@ -147,8 +147,7 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
   SPECTRAL_CHECK_GE(options.num_pairs, 1);
   SPECTRAL_CHECK_GE(options.max_restarts, 1);
   const int64_t want = std::min<int64_t>(options.num_pairs, avail);
-  int64_t width = options.block_size > 0 ? options.block_size : want + 2;
-  width = std::clamp<int64_t>(width, want, avail);
+  const int64_t width = std::min<int64_t>(want + 2, avail);
   const int64_t max_basis = std::min<int64_t>(
       avail, std::max<int64_t>(options.max_basis, 2 * width));
 

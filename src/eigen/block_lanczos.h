@@ -2,7 +2,8 @@
 // `num_pairs` dominant eigenpairs of a symmetric operator in ONE Krylov
 // pass instead of num_pairs sequential deflated solves (each of which
 // re-pays the full reorthogonalization and matvec bill — see
-// eigen/lanczos.h for the scalar path this replaces on the Fiedler driver).
+// reference/lanczos.h for the scalar oracle this replaced on the Fiedler
+// driver).
 //
 // Per restart cycle the solver grows a block Krylov basis V = [X, AX~,
 // A^2 X~, ...] with fused full reorthogonalization (linalg/packed_basis.h),
@@ -63,12 +64,10 @@ namespace spectral {
 
 /// Tuning knobs for LargestEigenpairsBlock.
 struct BlockLanczosOptions {
-  /// Number of dominant eigenpairs to extract (>= 1).
+  /// Number of dominant eigenpairs to extract (>= 1). The iterated block
+  /// is num_pairs + 2 wide: the guard vectors absorb clustered/degenerate
+  /// eigenvalues that would otherwise stall a width-num_pairs subspace.
   int num_pairs = 1;
-  /// Width of the iterated block. 0 = num_pairs + 2 guard vectors (guards
-  /// absorb clustered/degenerate eigenvalues that would otherwise stall a
-  /// width-num_pairs subspace).
-  int block_size = 0;
   /// Total Krylov basis columns per restart cycle. Memory is max_basis * n
   /// doubles; the Rayleigh-Ritz projection is a dense max_basis^2 solve.
   int max_basis = 48;
@@ -81,8 +80,8 @@ struct BlockLanczosOptions {
   uint64_t seed = 0x51f3c7a11ull;
   /// Optional warm start (e.g. a prolonged + smoothed coarse eigenvector
   /// block, see eigen/warm_start.h). Any width; projected onto the
-  /// complement of the deflation set, padded with random columns to
-  /// block_size. A garbage start only costs iterations — the solver falls
+  /// complement of the deflation set, padded with random columns to the
+  /// block width. A garbage start only costs iterations — the solver falls
   /// back to the random-start behaviour.
   VectorBlock start;
   /// Max Chebyshev filter degree per restart; 0 disables the accelerator.

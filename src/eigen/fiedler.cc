@@ -5,13 +5,16 @@
 
 #include "eigen/block_lanczos.h"
 #include "eigen/jacobi.h"
-#include "eigen/lanczos.h"
 #include "eigen/operator.h"
 #include "util/check.h"
 
 namespace spectral {
 
 namespace {
+
+// Eigenvalues within degeneracy_rel_tol * lambda2 + this of lambda2 count
+// as degenerate with it.
+constexpr double kDegeneracyAbsTol = 1e-8;
 
 // Mean-centers a copy of `x` and normalizes it; returns empty if the result
 // is numerically zero (constant input).
@@ -37,11 +40,10 @@ void FixSign(Vector& v) {
 // Picks the canonical representative of the (near-)degenerate eigenspace
 // spanned by the orthonormal columns in `space`.
 Vector Canonicalize(const std::vector<const Vector*>& space,
-                    std::span<const Vector> axes, DegeneracyPolicy policy) {
+                    std::span<const Vector> axes) {
   SPECTRAL_CHECK(!space.empty());
   const size_t n = space[0]->size();
-  if (policy == DegeneracyPolicy::kNone || axes.empty() ||
-      space.size() == 1) {
+  if (axes.empty() || space.size() == 1) {
     Vector v = *space[0];
     FixSign(v);
     return v;
@@ -62,7 +64,6 @@ Vector Canonicalize(const std::vector<const Vector*>& space,
     const double inv = 1.0 / std::sqrt(norm2);
     for (double& x : c) x *= inv;  // unit energy per axis: fair mix
     coeffs.push_back(std::move(c));
-    if (policy == DegeneracyPolicy::kAxisAligned) break;
   }
   if (coeffs.empty()) {
     Vector v = *space[0];
@@ -117,67 +118,6 @@ StatusOr<FiedlerResult> DensePath(const SparseMatrix& laplacian,
   return result;
 }
 
-StatusOr<FiedlerResult> LanczosPath(const SparseMatrix& laplacian,
-                                    const FiedlerOptions& options,
-                                    double zero_tol,
-                                    const VectorBlock* warm_start) {
-  const int64_t n = laplacian.rows();
-  const double shift = laplacian.GershgorinBound() * 1.0001 + 1e-12;
-
-  SparseOperator lap_op(&laplacian, options.matvec_pool);
-  ShiftNegateOperator op(&lap_op, shift);
-
-  // Deflate the exact kernel vector 1/sqrt(n).
-  std::vector<Vector> deflate;
-  deflate.emplace_back(static_cast<size_t>(n),
-                       1.0 / std::sqrt(static_cast<double>(n)));
-
-  FiedlerResult result;
-  result.method_used = "lanczos";
-
-  LanczosOptions lopt;
-  lopt.max_basis = options.max_basis;
-  lopt.max_restarts = options.max_restarts;
-  lopt.tol = options.tol;
-  lopt.seed = options.seed;
-
-  const int64_t want = std::min<int64_t>(options.num_pairs, n - 1);
-  for (int64_t k = 0; k < want; ++k) {
-    // A provided warm start seeds the matching sequential solve; the
-    // projection inside LargestEigenpair handles stale/garbage columns.
-    lopt.start = warm_start != nullptr &&
-                         k < static_cast<int64_t>(warm_start->size())
-                     ? (*warm_start)[static_cast<size_t>(k)]
-                     : Vector();
-    auto lan = LargestEigenpair(op, deflate, lopt);
-    if (!lan.ok()) return lan.status();
-    result.matvecs += lan->matvecs;
-    result.restarts += lan->restarts;
-    if (!lan->converged && k > 0) {
-      break;  // keep the pairs we have; extras are only for canonicalization
-    }
-    LaplacianEigenPair pair;
-    pair.eigenvalue = shift - lan->eigenvalue;
-    pair.eigenvector = lan->eigenvector;
-    if (!lan->converged) {
-      // The Fiedler pair itself missed tolerance: return it as a marked
-      // best-effort estimate rather than an error, so callers can retry or
-      // degrade. The disconnected check is skipped — an unconverged
-      // eigenvalue estimate cannot prove a second kernel vector.
-      result.converged = false;
-      result.pairs.push_back(std::move(pair));
-      break;
-    }
-    if (k == 0 && pair.eigenvalue < zero_tol) {
-      return FailedPreconditionError(
-          "Laplacian has multiple zero eigenvalues: graph is disconnected");
-    }
-    deflate.push_back(pair.eigenvector);
-    result.pairs.push_back(std::move(pair));
-  }
-  return result;
-}
-
 StatusOr<FiedlerResult> BlockLanczosPath(const SparseMatrix& laplacian,
                                          const FiedlerOptions& options,
                                          double zero_tol,
@@ -196,7 +136,6 @@ StatusOr<FiedlerResult> BlockLanczosPath(const SparseMatrix& laplacian,
   BlockLanczosOptions lopt;
   lopt.num_pairs =
       static_cast<int>(std::min<int64_t>(options.num_pairs, n - 1));
-  lopt.block_size = options.block_size;
   lopt.max_basis = options.block_max_basis;
   lopt.max_restarts = options.max_restarts;
   // One decade below the caller's tolerance (the Chebyshev filter makes
@@ -224,9 +163,8 @@ StatusOr<FiedlerResult> BlockLanczosPath(const SparseMatrix& laplacian,
   result.restarts = lan->restarts;
   result.profile = lan->profile;
 
-  // Keep the converged prefix (matching the scalar path: extra pairs exist
-  // only for canonicalization and may be dropped, but the Fiedler pair
-  // itself must have converged).
+  // Keep the converged prefix: extra pairs exist only for canonicalization
+  // and may be dropped, but the Fiedler pair itself must have converged.
   for (size_t k = 0; k < lan->eigenvalues.size(); ++k) {
     const double theta = lan->eigenvalues[k];
     const double scale = std::max(std::fabs(theta), 1.0);
@@ -276,18 +214,10 @@ StatusOr<FiedlerResult> ComputeFiedler(const SparseMatrix& laplacian,
   const double zero_tol =
       1e-8 * std::max(1.0, laplacian.GershgorinBound());
 
-  const bool use_dense =
-      options.method == FiedlerMethod::kDense ||
-      (options.method == FiedlerMethod::kAuto &&
-       n <= options.dense_threshold);
-
-  auto result = [&]() -> StatusOr<FiedlerResult> {
-    if (use_dense) return DensePath(laplacian, options, zero_tol);
-    if (options.method == FiedlerMethod::kLanczos) {
-      return LanczosPath(laplacian, options, zero_tol, warm_start);
-    }
-    return BlockLanczosPath(laplacian, options, zero_tol, warm_start);
-  }();
+  auto result = n <= options.dense_threshold
+                    ? DensePath(laplacian, options, zero_tol)
+                    : BlockLanczosPath(laplacian, options, zero_tol,
+                                       warm_start);
   if (!result.ok()) return result.status();
 
   FiedlerResult out = std::move(result).value();
@@ -298,14 +228,13 @@ StatusOr<FiedlerResult> ComputeFiedler(const SparseMatrix& laplacian,
   const double degen_limit = out.lambda2 +
                              options.degeneracy_rel_tol *
                                  std::max(std::fabs(out.lambda2), 1e-30) +
-                             options.degeneracy_abs_tol;
+                             kDegeneracyAbsTol;
   std::vector<const Vector*> space;
   for (const auto& pair : out.pairs) {
     if (pair.eigenvalue <= degen_limit) space.push_back(&pair.eigenvector);
   }
   out.degenerate_dim = static_cast<int>(space.size());
-  out.fiedler =
-      Canonicalize(space, canonical_axes, options.degeneracy_policy);
+  out.fiedler = Canonicalize(space, canonical_axes);
   return out;
 }
 

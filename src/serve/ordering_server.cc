@@ -209,8 +209,7 @@ void OrderingServer::DispatchBatch(std::vector<Pending> batch) {
     std::lock_guard<std::mutex> slock(stats_mu_);
     for (size_t i = 0; i < live.size(); ++i) {
       if (results[i].ok()) {
-        const bool warm =
-            results[i]->detail.find(" | cache=hit") != std::string::npos;
+        const bool warm = results[i]->served_from == ServeKind::kHit;
         RecordLatencyLocked(ToMs(done - live[i].enqueue), warm);
         ++served_ok_;
       } else {

@@ -1,6 +1,7 @@
 #include "serve/wire.h"
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -24,6 +25,17 @@ bool ParseInt(const std::string& token, int64_t* out) {
   char* end = nullptr;
   *out = std::strtoll(token.c_str(), &end, 10);
   return end != token.c_str() && *end == '\0';
+}
+
+// Payload limits: no curve key holds more than 63 axes, and a GRID line
+// may not expand into more cells than this.
+constexpr int64_t kMaxWireDims = 63;
+constexpr int64_t kMaxWireGridCells = int64_t{1} << 24;
+
+template <typename T>
+bool Fits(int64_t v) {
+  return v >= std::numeric_limits<T>::min() &&
+         v <= std::numeric_limits<T>::max();
 }
 
 // "key=value" option tokens between the engine name and the payload tag.
@@ -57,7 +69,7 @@ Status ApplyOrderOption(const std::string& token, WireRequest* out) {
   }
   if (key == "radius") {
     int64_t radius = 0;
-    if (!ParseInt(value, &radius) || radius < 1) {
+    if (!ParseInt(value, &radius) || radius < 1 || !Fits<int>(radius)) {
       return InvalidArgumentError("bad radius '" + value + "'");
     }
     out->request.options.spectral.graph.radius = static_cast<int>(radius);
@@ -65,7 +77,7 @@ Status ApplyOrderOption(const std::string& token, WireRequest* out) {
   }
   if (key == "shards") {
     int64_t shards = 0;
-    if (!ParseInt(value, &shards) || shards < 1) {
+    if (!ParseInt(value, &shards) || shards < 1 || !Fits<int>(shards)) {
       return InvalidArgumentError("bad shards '" + value + "'");
     }
     out->request.options.sharded.num_shards = static_cast<int>(shards);
@@ -79,14 +91,24 @@ Status ParseGridPayload(std::istringstream& in, WireRequest* out) {
   std::string spec;
   if (!(in >> spec)) return InvalidArgumentError("GRID needs <s0>x<s1>...");
   std::vector<Coord> sides;
+  int64_t cells = 1;
   for (const std::string& part : StrSplit(spec, 'x')) {
     int64_t side = 0;
-    if (!ParseInt(part, &side) || side < 1) {
+    if (!ParseInt(part, &side) || side < 1 || !Fits<Coord>(side)) {
       return InvalidArgumentError("bad grid side '" + part + "'");
     }
+    if (side > kMaxWireGridCells / cells) {
+      return InvalidArgumentError("grid '" + spec + "' exceeds " +
+                                  FormatInt(kMaxWireGridCells) + " cells");
+    }
+    cells *= side;
     sides.push_back(static_cast<Coord>(side));
   }
   if (sides.empty()) return InvalidArgumentError("empty grid spec");
+  if (static_cast<int64_t>(sides.size()) > kMaxWireDims) {
+    return InvalidArgumentError("grid '" + spec + "' has more than " +
+                                FormatInt(kMaxWireDims) + " axes");
+  }
   std::string extra;
   if (in >> extra) {
     return InvalidArgumentError("unexpected token '" + extra +
@@ -101,8 +123,10 @@ Status ParseGridPayload(std::istringstream& in, WireRequest* out) {
 Status ParsePointsPayload(std::istringstream& in, WireRequest* out) {
   int64_t dims = 0;
   int64_t n = 0;
-  if (!(in >> dims >> n) || dims < 1 || n < 0) {
-    return InvalidArgumentError("POINTS needs <dims> <n> <coords...>");
+  if (!(in >> dims >> n) || dims < 1 || dims > kMaxWireDims || n < 0) {
+    return InvalidArgumentError("POINTS needs <dims> (1.." +
+                                FormatInt(kMaxWireDims) +
+                                ") <n> <coords...>");
   }
   PointSet points(static_cast<int>(dims));
   std::vector<Coord> p(static_cast<size_t>(dims));
@@ -111,7 +135,12 @@ Status ParsePointsPayload(std::istringstream& in, WireRequest* out) {
       int64_t c = 0;
       if (!(in >> c)) {
         return InvalidArgumentError("POINTS payload truncated (want " +
-                                    FormatInt(n * dims) + " coordinates)");
+                                    FormatInt(n) + " points of " +
+                                    FormatInt(dims) + " coordinates)");
+      }
+      if (!Fits<Coord>(c)) {
+        return InvalidArgumentError("POINTS coordinate " + FormatInt(c) +
+                                    " out of range");
       }
       p[static_cast<size_t>(a)] = static_cast<Coord>(c);
     }

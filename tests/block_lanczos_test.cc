@@ -248,7 +248,7 @@ TEST(BlockLanczos, ByteIdenticalAcrossPoolSizes) {
   const SparseMatrix lap =
       BuildLaplacian(BuildGridGraph(GridSpec({48, 48})));
   FiedlerOptions options;
-  options.method = FiedlerMethod::kBlockLanczos;
+  options.dense_threshold = 0;
 
   auto serial = ComputeFiedler(lap, options);
   ASSERT_TRUE(serial.ok()) << serial.status();

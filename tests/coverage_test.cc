@@ -1,5 +1,5 @@
 // Gap-coverage tests: options and paths not exercised by the module suites
-// (degeneracy policies, Lanczos warm starts, kernel weights, shape
+// (Lanczos oracle warm starts, kernel weights, shape
 // enumeration, per-query callbacks).
 
 #include <cmath>
@@ -9,13 +9,12 @@
 
 #include "core/ordering_engine.h"
 #include "core/ordering_request.h"
-#include "eigen/fiedler.h"
-#include "eigen/lanczos.h"
 #include "eigen/operator.h"
 #include "graph/grid_graph.h"
 #include "graph/laplacian.h"
 #include "graph/point_graph.h"
 #include "query/range_query.h"
+#include "reference/lanczos.h"
 #include "space/point_set.h"
 
 namespace spectral {
@@ -25,46 +24,6 @@ constexpr double kPi = std::numbers::pi;
 
 SparseMatrix GridLap(std::vector<Coord> sides) {
   return BuildLaplacian(BuildGridGraph(GridSpec(std::move(sides))));
-}
-
-TEST(FiedlerPolicies, AxisAlignedPicksOneAxisOnSquareGrid) {
-  const GridSpec grid({5, 5});
-  const PointSet points = PointSet::FullGrid(grid);
-  const auto axes = points.CenteredAxisFunctions();
-  FiedlerOptions options;
-  options.num_pairs = 3;
-  options.degeneracy_policy = DegeneracyPolicy::kAxisAligned;
-  auto result = ComputeFiedler(GridLap({5, 5}), options, axes);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->degenerate_dim, 2);
-  // Aligned: correlation with axis 0 strong, with axis 1 ~zero.
-  const double c0 = std::fabs(Dot(result->fiedler, axes[0]));
-  const double c1 = std::fabs(Dot(result->fiedler, axes[1]));
-  EXPECT_GT(c0, 10.0 * c1);
-}
-
-TEST(FiedlerPolicies, NonePassesRawSolverVector) {
-  FiedlerOptions none;
-  none.degeneracy_policy = DegeneracyPolicy::kNone;
-  auto result = ComputeFiedler(GridLap({4, 4}), none);
-  ASSERT_TRUE(result.ok());
-  // Still a valid unit eigenvector.
-  EXPECT_NEAR(Norm2(result->fiedler), 1.0, 1e-9);
-}
-
-TEST(FiedlerPolicies, PoliciesAgreeOnNonDegenerateInput) {
-  const auto lap = GridLap({7, 3});
-  FiedlerOptions mix;
-  mix.degeneracy_policy = DegeneracyPolicy::kBalancedMix;
-  FiedlerOptions aligned;
-  aligned.degeneracy_policy = DegeneracyPolicy::kAxisAligned;
-  const PointSet points = PointSet::FullGrid(GridSpec({7, 3}));
-  const auto axes = points.CenteredAxisFunctions();
-  auto a = ComputeFiedler(lap, mix, axes);
-  auto b = ComputeFiedler(lap, aligned, axes);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NEAR(std::fabs(Dot(a->fiedler, b->fiedler)), 1.0, 1e-9);
 }
 
 TEST(LanczosWarmStart, ExactEigenvectorConvergesImmediately) {

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "eigen/jacobi.h"
-#include "eigen/tridiagonal.h"
+#include "reference/tridiagonal.h"
 #include "linalg/dense_matrix.h"
 #include "util/random.h"
 

@@ -1,6 +1,7 @@
 // Fiedler driver tests: closed-form algebraic connectivity, degenerate
-// eigenspace handling (the paper's square-grid examples), engine
-// cross-validation, and disconnection detection.
+// eigenspace handling (the paper's square-grid examples), cross-validation
+// of the dense and block paths against the scalar Lanczos oracle, and
+// disconnection detection.
 
 #include <cmath>
 #include <numbers>
@@ -10,6 +11,7 @@
 #include "eigen/fiedler.h"
 #include "graph/grid_graph.h"
 #include "graph/laplacian.h"
+#include "reference/lanczos.h"
 #include "space/point_set.h"
 
 namespace spectral {
@@ -31,18 +33,35 @@ double LaplacianResidual(const SparseMatrix& lap, const Vector& v,
   return Norm2(lv);
 }
 
+// Both paths of ComputeFiedler: dense_threshold >= n forces the dense one,
+// 0 the block one.
+FiedlerOptions DenseOptions() {
+  FiedlerOptions options;
+  options.dense_threshold = 1 << 20;
+  return options;
+}
+
+FiedlerOptions BlockOptions() {
+  FiedlerOptions options;
+  options.dense_threshold = 0;
+  return options;
+}
+
 TEST(Fiedler, PathLambda2BothEngines) {
   const int n = 20;
   const SparseMatrix lap = GridLaplacian({n});
-  for (FiedlerMethod method : {FiedlerMethod::kDense, FiedlerMethod::kLanczos,
-                               FiedlerMethod::kBlockLanczos}) {
-    FiedlerOptions options;
-    options.method = method;
+  for (const FiedlerOptions& options : {DenseOptions(), BlockOptions()}) {
     auto result = ComputeFiedler(lap, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_NEAR(result->lambda2, PathLambda(n), 1e-7);
     EXPECT_LT(LaplacianResidual(lap, result->fiedler, result->lambda2), 1e-6);
   }
+  auto oracle = LanczosPath(lap);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  EXPECT_NEAR(oracle->pairs[0].eigenvalue, PathLambda(n), 1e-7);
+  EXPECT_LT(LaplacianResidual(lap, oracle->pairs[0].eigenvector,
+                              oracle->pairs[0].eigenvalue),
+            1e-6);
 }
 
 TEST(Fiedler, PathFiedlerVectorIsMonotone) {
@@ -100,35 +119,35 @@ TEST(Fiedler, RectangleGridNonDegenerate) {
 
 TEST(Fiedler, EnginesAgreeOnGrid) {
   const SparseMatrix lap = GridLaplacian({5, 4});
-  FiedlerOptions dense_options;
-  dense_options.method = FiedlerMethod::kDense;
-  auto dense = ComputeFiedler(lap, dense_options);
+  auto dense = ComputeFiedler(lap, DenseOptions());
   ASSERT_TRUE(dense.ok());
-  for (FiedlerMethod method :
-       {FiedlerMethod::kLanczos, FiedlerMethod::kBlockLanczos}) {
-    FiedlerOptions options;
-    options.method = method;
-    auto iterative = ComputeFiedler(lap, options);
-    ASSERT_TRUE(iterative.ok());
-    EXPECT_NEAR(dense->lambda2, iterative->lambda2, 1e-7);
-    // Eigenvectors agree up to sign.
-    const double dot = std::fabs(Dot(dense->fiedler, iterative->fiedler));
-    EXPECT_NEAR(dot, 1.0, 1e-5);
-  }
+  auto block = ComputeFiedler(lap, BlockOptions());
+  ASSERT_TRUE(block.ok());
+  EXPECT_NEAR(dense->lambda2, block->lambda2, 1e-7);
+  // Eigenvectors agree up to sign.
+  EXPECT_NEAR(std::fabs(Dot(dense->fiedler, block->fiedler)), 1.0, 1e-5);
+
+  // The oracle's raw Fiedler pair: lambda2 is simple on a 5x4 grid, so the
+  // uncanonicalized vector matches too.
+  auto oracle = LanczosPath(lap);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_NEAR(dense->lambda2, oracle->pairs[0].eigenvalue, 1e-7);
+  EXPECT_NEAR(std::fabs(Dot(dense->fiedler, oracle->pairs[0].eigenvector)),
+              1.0, 1e-5);
 }
 
 TEST(Fiedler, DisconnectedGraphRejected) {
   // Two disjoint edges: second zero eigenvalue must be detected.
   std::vector<GraphEdge> edges = {{0, 1, 1.0}, {2, 3, 1.0}};
   const SparseMatrix lap = BuildLaplacian(Graph::FromEdges(4, edges));
-  for (FiedlerMethod method : {FiedlerMethod::kDense, FiedlerMethod::kLanczos,
-                               FiedlerMethod::kBlockLanczos}) {
-    FiedlerOptions options;
-    options.method = method;
+  for (const FiedlerOptions& options : {DenseOptions(), BlockOptions()}) {
     auto result = ComputeFiedler(lap, options);
     EXPECT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   }
+  auto oracle = LanczosPath(lap);
+  EXPECT_FALSE(oracle.ok());
+  EXPECT_EQ(oracle.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(Fiedler, TwoVertices) {
@@ -181,7 +200,7 @@ TEST(Fiedler, StarGraphLambda2) {
 }
 
 TEST(Fiedler, BalancedMixIsAxisFairOnSquareGrid) {
-  // With kBalancedMix canonicalization over a square grid, the Fiedler
+  // With balanced-mix canonicalization over a square grid, the Fiedler
   // vector must weight both axes equally: correlation with centered x and
   // centered y should have equal magnitude.
   const GridSpec grid({4, 4});
@@ -190,7 +209,6 @@ TEST(Fiedler, BalancedMixIsAxisFairOnSquareGrid) {
   const auto axes = points.CenteredAxisFunctions();
   FiedlerOptions options;
   options.num_pairs = 3;
-  options.degeneracy_policy = DegeneracyPolicy::kBalancedMix;
   auto result = ComputeFiedler(lap, options, axes);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->degenerate_dim, 2);

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eigen/lanczos.h"
+#include "reference/lanczos.h"
 #include "eigen/operator.h"
 #include "graph/grid_graph.h"
 #include "graph/laplacian.h"

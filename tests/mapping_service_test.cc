@@ -139,7 +139,7 @@ TEST(MappingService, WarmCacheBatchPerformsZeroAdditionalEigensolves) {
   auto warm = service.OrderBatch(requests);
   for (const auto& r : warm) {
     ASSERT_TRUE(r.ok());
-    EXPECT_NE(r->detail.find(" | cache=hit"), std::string::npos);
+    EXPECT_EQ(r->served_from, ServeKind::kHit);
   }
   const MappingServiceStats after_warm = service.stats();
   // Zero additional engine work: matvec and solve counters are unchanged.
@@ -168,11 +168,39 @@ TEST(MappingService, DuplicatesWithinABatchSolveOnce) {
 
   // The annotation mirrors a serial replay: first occurrence missed, the
   // repeats hit; the payloads are identical bytes.
-  EXPECT_NE(results[0]->detail.find(" | cache=miss"), std::string::npos);
-  EXPECT_NE(results[1]->detail.find(" | cache=hit"), std::string::npos);
-  EXPECT_NE(results[2]->detail.find(" | cache=hit"), std::string::npos);
+  EXPECT_EQ(results[0]->served_from, ServeKind::kMiss);
+  EXPECT_EQ(results[1]->served_from, ServeKind::kHit);
+  EXPECT_EQ(results[2]->served_from, ServeKind::kHit);
   EXPECT_EQ(Ranks(results[0]->order), Ranks(results[1]->order));
   EXPECT_EQ(results[0]->embedding, results[2]->embedding);
+}
+
+TEST(MappingService, CacheTagIsRenderedFromServedFrom) {
+  // detail keeps its " | cache=..." bytes (snapshots and logs read them);
+  // the tag is a render of served_from, and direct engine calls carry
+  // neither.
+  const PointSet points = PointSet::FullGrid(GridSpec({5, 5}));
+  const OrderingRequest request = OrderingRequest::ForPoints(points);
+  auto engine = MakeOrderingEngine("spectral");
+  ASSERT_TRUE(engine.ok());
+  auto direct = (*engine)->Order(request);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(direct->served_from, ServeKind::kDirect);
+
+  MappingService service;
+  auto results =
+      service.OrderBatch(std::vector<OrderingRequest>{request, request});
+  ASSERT_TRUE(results[0].ok());
+  ASSERT_TRUE(results[1].ok());
+  EXPECT_EQ(results[0]->detail, direct->detail + " | cache=miss");
+  EXPECT_EQ(results[1]->detail, direct->detail + " | cache=hit");
+
+  MappingServiceOptions off;
+  off.cache_capacity = 0;
+  MappingService uncached(off);
+  auto result = uncached.Order(request);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->detail, direct->detail + " | cache=off");
 }
 
 TEST(MappingService, CacheOffStillDeduplicatesButNeverHits) {
@@ -186,7 +214,7 @@ TEST(MappingService, CacheOffStillDeduplicatesButNeverHits) {
       std::vector<OrderingRequest>{request, request});
   for (const auto& r : results) {
     ASSERT_TRUE(r.ok());
-    EXPECT_NE(r->detail.find(" | cache=off"), std::string::npos);
+    EXPECT_EQ(r->served_from, ServeKind::kOff);
   }
   EXPECT_EQ(service.stats().solves, 1);
 
@@ -209,7 +237,7 @@ TEST(MappingService, LruEvictsAndCountsEvictions) {
   ASSERT_TRUE(service.Order(OrderingRequest::ForPoints(b)).ok());  // miss, evicts a
   auto re_a = service.Order(OrderingRequest::ForPoints(a));        // miss again
   ASSERT_TRUE(re_a.ok());
-  EXPECT_NE(re_a->detail.find(" | cache=miss"), std::string::npos);
+  EXPECT_EQ(re_a->served_from, ServeKind::kMiss);
 
   const MappingServiceStats stats = service.stats();
   EXPECT_EQ(stats.cache_misses, 3);
@@ -219,7 +247,7 @@ TEST(MappingService, LruEvictsAndCountsEvictions) {
   service.ClearCache();
   auto after_clear = service.Order(OrderingRequest::ForPoints(a));
   ASSERT_TRUE(after_clear.ok());
-  EXPECT_NE(after_clear->detail.find(" | cache=miss"), std::string::npos);
+  EXPECT_EQ(after_clear->served_from, ServeKind::kMiss);
 }
 
 TEST(MappingService, ErrorsPropagateAndAreNeverCached) {
@@ -269,7 +297,7 @@ TEST(MappingService, GraphRequestsFlowThroughTheFacade) {
 
   auto second = service.Order(OrderingRequest::ForGraph(graph));
   ASSERT_TRUE(second.ok());
-  EXPECT_NE(second->detail.find(" | cache=hit"), std::string::npos);
+  EXPECT_EQ(second->served_from, ServeKind::kHit);
   EXPECT_EQ(Ranks(first->order), Ranks(second->order));
   EXPECT_EQ(first->embedding, second->embedding);
 }
@@ -379,7 +407,7 @@ TEST(MappingServiceLadder, EscalatedRetryConvergesAndIsCached) {
 
   auto repeat = service.Order(request);
   ASSERT_TRUE(repeat.ok());
-  EXPECT_NE(repeat->detail.find(" | cache=hit"), std::string::npos);
+  EXPECT_EQ(repeat->served_from, ServeKind::kHit);
   EXPECT_EQ(service.stats().solves, 1);
 }
 

@@ -1,5 +1,5 @@
 // Multilevel Fiedler solver tests: coarsening invariants, eigenvalue
-// agreement with the flat solver, and the end-to-end mapper path.
+// agreement with the flat solver, and the end-to-end engine path.
 
 #include <cmath>
 #include <numbers>
@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "core/multilevel.h"
+#include "core/ordering_engine.h"
+#include "core/ordering_request.h"
 #include "core/spectral_lpm.h"
 #include "graph/coarsening.h"
 #include "graph/grid_graph.h"
@@ -18,6 +20,16 @@ namespace spectral {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
+
+// The "spectral" engine on `points` under `options`.
+StatusOr<OrderingResult> Map(const PointSet& points,
+                             const SpectralLpmOptions& options = {}) {
+  OrderingRequest request = OrderingRequest::ForPoints(points);
+  request.options.spectral = options;
+  auto engine = MakeOrderingEngine("spectral");
+  if (!engine.ok()) return engine.status();
+  return (*engine)->Order(request);
+}
 
 TEST(Coarsening, PathContractsByHalf) {
   const Graph g = BuildGridGraph(GridSpec({16}));
@@ -131,18 +143,18 @@ TEST(Multilevel, CoarsestSizeRespected) {
   EXPECT_NEAR(shallow->lambda2, deep->lambda2, 1e-6);
 }
 
-TEST(Multilevel, MapperIntegrationMatchesFlatOrder) {
+TEST(Multilevel, EngineIntegrationMatchesFlatOrder) {
   // Rectangle (non-degenerate): multilevel and flat must give the same
   // final order thanks to rank quantization.
   const PointSet points = PointSet::FullGrid(GridSpec({20, 11}));
-  auto flat = SpectralMapper().Map(points);
+  auto flat = Map(points);
   SpectralLpmOptions ml;
   ml.warm_start_threshold = 50;
-  auto multi = SpectralMapper(ml).Map(points);
+  auto multi = Map(points, ml);
   ASSERT_TRUE(flat.ok());
   ASSERT_TRUE(multi.ok());
-  EXPECT_TRUE(multi->method_used.rfind("multilevel", 0) == 0)
-      << multi->method_used;
+  EXPECT_TRUE(multi->method.rfind("multilevel", 0) == 0)
+      << multi->method;
   // Orders agree up to a global reversal (the eigenvector sign of the
   // multilevel path is inherited from the coarsest solve).
   int64_t agree = 0;
@@ -178,13 +190,13 @@ TEST(Multilevel, SquareGridOrderMatchesFlatSolve) {
   SpectralLpmOptions ml_options;
   ml_options.fiedler.num_pairs = 3;
   ml_options.warm_start_threshold = 50;
-  auto flat = SpectralMapper(flat_options).Map(points);
-  auto multi = SpectralMapper(ml_options).Map(points);
+  auto flat = Map(points, flat_options);
+  auto multi = Map(points, ml_options);
   ASSERT_TRUE(flat.ok());
   ASSERT_TRUE(multi.ok());
-  EXPECT_EQ(flat->method_used, "block-lanczos");
-  EXPECT_TRUE(multi->method_used.rfind("multilevel", 0) == 0)
-      << multi->method_used;
+  EXPECT_EQ(flat->method, "block-lanczos");
+  EXPECT_TRUE(multi->method.rfind("multilevel", 0) == 0)
+      << multi->method;
   for (int64_t i = 0; i < points.size(); ++i) {
     ASSERT_EQ(multi->order.RankOf(i), flat->order.RankOf(i))
         << "multilevel order diverged from flat at point " << i;

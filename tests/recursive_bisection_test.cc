@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ordering_engine.h"
+#include "core/ordering_request.h"
 #include "core/recursive_bisection.h"
 #include "graph/grid_graph.h"
 #include "graph/subgraph.h"
@@ -187,7 +189,9 @@ TEST(RecursiveBisection, QualityComparableToDirectOrder) {
   const GridSpec grid({8, 8});
   const PointSet points = PointSet::FullGrid(grid);
   const Graph g = BuildGridGraph(grid);
-  auto direct = SpectralMapper().Map(points);
+  auto engine = MakeOrderingEngine("spectral");
+  ASSERT_TRUE(engine.ok());
+  auto direct = (*engine)->Order(OrderingRequest::ForPoints(points));
   auto bisect = RecursiveSpectralOrder(points);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(bisect.ok());

@@ -65,6 +65,22 @@ TEST(Serialization, PointSetRejectsBadHeader) {
   EXPECT_FALSE(ReadPointSet(buffer).ok());
 }
 
+TEST(Serialization, PointSetRejectsOutOfRangeCoordinates) {
+  for (const char* coord : {"4294967296", "2147483648", "-2147483649"}) {
+    std::stringstream buffer;
+    buffer << "spectral-lpm-points v1\n2 1\n0\n" << coord << "\n";
+    auto loaded = ReadPointSet(buffer);
+    ASSERT_FALSE(loaded.ok()) << coord;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::stringstream edge("spectral-lpm-points v1\n2 1\n2147483647\n"
+                         "-2147483648\n");
+  auto loaded = ReadPointSet(edge);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->At(0, 0), 2147483647);
+  EXPECT_EQ(loaded->At(1, 0), -2147483648);
+}
+
 TEST(Serialization, FileRoundTrip) {
   const auto dir = std::filesystem::temp_directory_path();
   const std::string order_path = (dir / "spectral_order_test.txt").string();

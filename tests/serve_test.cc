@@ -232,7 +232,7 @@ TEST(OrderingServer, WarmRestartFromSnapshotDoesZeroSolves) {
     EXPECT_EQ(Ranks(result->order), Ranks(first_results[i].order));
     EXPECT_EQ(result->embedding, first_results[i].embedding);
     ExpectMatchesDirect(*result, requests[i]);
-    EXPECT_NE(result->detail.find(" | cache=hit"), std::string::npos);
+    EXPECT_EQ(result->served_from, ServeKind::kHit);
   }
   const OrderingServerStats stats = restarted.stats();
   EXPECT_EQ(stats.service.solves, 0);
@@ -371,11 +371,55 @@ TEST(Wire, ParseRejectsMalformedLines) {
       "ORDER id spectral POINTS 2 3 0 0 1",
       "SNAPSHOT id",
       "HEALTH",
+      // Integers that do not fit the type they are narrowed to, or
+      // overflow on the way in.
+      "ORDER b hilbert GRID 2147483648x2",        // side exceeds Coord
+      "ORDER e hilbert POINTS 2147483648 0",      // dims exceeds int
+      "ORDER e hilbert POINTS 64 0",              // dims above 63 axes
+      "ORDER c hilbert POINTS 1 2 4294967296 0",  // coordinate wraps to 0
+      "ORDER c hilbert POINTS 1 1 -2147483649",   // coordinate below Coord
+      "ORDER d spectral radius=4294967297 GRID 4x4",       // wraps to 1
+      "ORDER f sharded-spectral shards=4294967298 GRID 4x4",
+      "ORDER g hilbert GRID 65536x65536x65536x65536",     // cells overflow
+      "ORDER g hilbert GRID 4097x4096",                    // above 2^24 cells
+      "ORDER h hilbert POINTS 2 9223372036854775807",      // truncated, huge n
   };
   for (const char* line : kBad) {
     const auto parsed = ParseWireRequest(line);
-    EXPECT_FALSE(parsed.ok()) << "accepted: " << line;
+    ASSERT_FALSE(parsed.ok()) << "accepted: " << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
   }
+}
+
+TEST(Wire, ParseAcceptsTypeLimits) {
+  auto edge = ParseWireRequest(
+      "ORDER x sweep radius=2147483647 POINTS 1 2 2147483647 -2147483648");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->request.options.spectral.graph.radius, 2147483647);
+  EXPECT_EQ(edge->request.points->At(0, 0), 2147483647);
+  EXPECT_EQ(edge->request.points->At(1, 0), -2147483648);
+}
+
+TEST(OrderingServer, OutOfRangeLineKeepsServing) {
+  // A bad line between two valid ORDERs gets a typed error; both orders are
+  // still answered.
+  OrderingServer server(OrderingServerOptions{});
+  std::istringstream in(
+      "ORDER a hilbert GRID 4x4\n"
+      "ORDER b hilbert GRID 2147483648x2\n"
+      "ORDER c hilbert GRID 4x4\n"
+      "QUIT\n");
+  std::ostringstream out;
+  server.ServeStream(in, out);
+  std::istringstream lines(out.str());
+  std::vector<std::string> replies;
+  std::string line;
+  while (std::getline(lines, line)) replies.push_back(line);
+  ASSERT_EQ(replies.size(), 4u) << out.str();
+  EXPECT_EQ(replies[0].rfind("ORDERED a 16 ", 0), 0u);
+  EXPECT_EQ(replies[1].rfind("ERROR - INVALID_ARGUMENT", 0), 0u);
+  EXPECT_EQ(replies[2].rfind("ORDERED c 16 ", 0), 0u);
+  EXPECT_EQ(replies[3], "BYE");
 }
 
 TEST(Wire, StatsHealthAndQuitParse) {

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ordering_engine.h"
+#include "core/ordering_request.h"
 #include "core/spectral_lpm.h"
 #include "graph/grid_graph.h"
 #include "graph/laplacian.h"
+#include "reference/lanczos.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -19,10 +22,24 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 
+StatusOr<OrderingResult> Order(const OrderingRequest& request) {
+  auto engine = MakeOrderingEngine("spectral");
+  if (!engine.ok()) return engine.status();
+  return (*engine)->Order(request);
+}
+
+// The "spectral" engine on `points` under `options`.
+StatusOr<OrderingResult> Map(const PointSet& points,
+                             const SpectralLpmOptions& options = {}) {
+  OrderingRequest request = OrderingRequest::ForPoints(points);
+  request.options.spectral = options;
+  return Order(request);
+}
+
 TEST(SpectralLpm, PathOrderIsContiguous) {
   // On a 1-d path the optimal order is the path itself (or its reverse).
   const PointSet points = PointSet::FullGrid(GridSpec({17}));
-  auto result = SpectralMapper().Map(points);
+  auto result = Map(points);
   ASSERT_TRUE(result.ok()) << result.status();
   const int64_t first = result->order.RankOf(0);
   const bool forward = first == 0;
@@ -38,16 +55,16 @@ TEST(SpectralLpm, PaperFigure3Grid3x3) {
   // are well-defined: lambda2, eigenvector validity, and that the assigned
   // values produce a permutation.
   const PointSet points = PointSet::FullGrid(GridSpec({3, 3}));
-  auto result = SpectralMapper().Map(points);
+  auto result = Map(points);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_NEAR(result->lambda2, 1.0, 1e-9);
 
   const Graph g = BuildGridGraph(GridSpec({3, 3}));
-  // values is a unit-norm eigenvector: energy == lambda2.
-  EXPECT_NEAR(DirichletEnergy(g, result->values), result->lambda2, 1e-8);
-  EXPECT_NEAR(Norm2(result->values), 1.0, 1e-9);
+  // The embedding is a unit-norm eigenvector: energy == lambda2.
+  EXPECT_NEAR(DirichletEnergy(g, result->embedding), result->lambda2, 1e-8);
+  EXPECT_NEAR(Norm2(result->embedding), 1.0, 1e-9);
   double sum = 0.0;
-  for (double v : result->values) sum += v;
+  for (double v : result->embedding) sum += v;
   EXPECT_NEAR(sum, 0.0, 1e-9);
 }
 
@@ -58,9 +75,9 @@ TEST(SpectralLpm, TheoremOptimality) {
   const GridSpec grid({4, 5});
   const PointSet points = PointSet::FullGrid(grid);
   const Graph g = BuildGridGraph(grid);
-  auto result = SpectralMapper().Map(points);
+  auto result = Map(points);
   ASSERT_TRUE(result.ok());
-  const double optimal = DirichletEnergy(g, result->values);
+  const double optimal = DirichletEnergy(g, result->embedding);
   EXPECT_NEAR(optimal, result->lambda2, 1e-8);
 
   Rng rng(77);
@@ -89,14 +106,14 @@ TEST(SpectralLpm, AffinityEdgesPullPointsTogether) {
   // shrink their distance in the 1-d order.
   const PointSet points = PointSet::FullGrid(GridSpec({16}));
 
-  auto plain = SpectralMapper().Map(points);
+  auto plain = Map(points);
   ASSERT_TRUE(plain.ok());
   const int64_t before =
       std::abs(plain->order.RankOf(2) - plain->order.RankOf(13));
 
   SpectralLpmOptions options;
   options.affinity_edges.push_back({2, 13, 4.0});
-  auto tuned = SpectralMapper(options).Map(points);
+  auto tuned = Map(points, options);
   ASSERT_TRUE(tuned.ok());
   const int64_t after =
       std::abs(tuned->order.RankOf(2) - tuned->order.RankOf(13));
@@ -107,11 +124,11 @@ TEST(SpectralLpm, AffinityEdgeValidation) {
   const PointSet points = PointSet::FullGrid(GridSpec({4}));
   SpectralLpmOptions options;
   options.affinity_edges.push_back({0, 9, 1.0});
-  EXPECT_FALSE(SpectralMapper(options).Map(points).ok());
+  EXPECT_FALSE(Map(points, options).ok());
   options.affinity_edges = {{1, 1, 1.0}};
-  EXPECT_FALSE(SpectralMapper(options).Map(points).ok());
+  EXPECT_FALSE(Map(points, options).ok());
   options.affinity_edges = {{0, 1, -2.0}};
-  EXPECT_FALSE(SpectralMapper(options).Map(points).ok());
+  EXPECT_FALSE(Map(points, options).ok());
 }
 
 TEST(SpectralLpm, DisconnectedComponentsOrderedBySize) {
@@ -121,7 +138,7 @@ TEST(SpectralLpm, DisconnectedComponentsOrderedBySize) {
   for (Coord i = 0; i < 5; ++i) points.Add(std::vector<Coord>{0, i});
   points.Add(std::vector<Coord>{10, 0});
   points.Add(std::vector<Coord>{10, 1});
-  auto result = SpectralMapper().Map(points);
+  auto result = Map(points);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_components, 2);
   // Large component occupies ranks 0..4.
@@ -137,10 +154,10 @@ TEST(SpectralLpm, SingletonComponents) {
   points.Add(std::vector<Coord>{0, 0});
   points.Add(std::vector<Coord>{5, 5});
   points.Add(std::vector<Coord>{9, 9});
-  auto result = SpectralMapper().Map(points);
+  auto result = Map(points);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_components, 3);
-  EXPECT_EQ(result->method_used, "trivial");
+  EXPECT_EQ(result->method, "trivial");
   // Singletons tie on size; ordered by lowest point index.
   EXPECT_EQ(result->order.RankOf(0), 0);
   EXPECT_EQ(result->order.RankOf(1), 1);
@@ -150,7 +167,7 @@ TEST(SpectralLpm, SingletonComponents) {
 TEST(SpectralLpm, SinglePoint) {
   PointSet points(3);
   points.Add(std::vector<Coord>{1, 2, 3});
-  auto result = SpectralMapper().Map(points);
+  auto result = Map(points);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->order.size(), 1);
   EXPECT_EQ(result->order.RankOf(0), 0);
@@ -158,7 +175,7 @@ TEST(SpectralLpm, SinglePoint) {
 
 TEST(SpectralLpm, EmptyInputRejected) {
   PointSet points(2);
-  EXPECT_FALSE(SpectralMapper().Map(points).ok());
+  EXPECT_FALSE(Map(points).ok());
 }
 
 TEST(SpectralLpm, MooreConnectivityChangesTheSpectrum) {
@@ -167,27 +184,27 @@ TEST(SpectralLpm, MooreConnectivityChangesTheSpectrum) {
   // happen to coincide (both eigenspaces contain the same balanced diagonal
   // mix), but the eigenpairs demonstrably differ.
   const PointSet points = PointSet::FullGrid(GridSpec({4, 4}));
-  auto four = SpectralMapper().Map(points);
+  auto four = Map(points);
   SpectralLpmOptions options;
   options.graph.connectivity = GridConnectivity::kMoore;
-  auto eight = SpectralMapper(options).Map(points);
+  auto eight = Map(points, options);
   ASSERT_TRUE(four.ok());
   ASSERT_TRUE(eight.ok());
   // More edges => stiffer graph => strictly larger algebraic connectivity.
   EXPECT_GT(eight->lambda2, four->lambda2 + 0.1);
   // The Fiedler vectors are genuinely different directions.
-  EXPECT_LT(std::fabs(Dot(four->values, eight->values)), 1.0 - 1e-4);
+  EXPECT_LT(std::fabs(Dot(four->embedding, eight->embedding)), 1.0 - 1e-4);
 }
 
 TEST(SpectralLpm, MooreConnectivityChangesTheOrderOnRectangles) {
   // On a non-square grid the diagonal edges shift the spectrum enough to
   // reorder points (no degeneracy masks it).
   const PointSet points = PointSet::FullGrid(GridSpec({8, 3}));
-  auto four = SpectralMapper().Map(points);
+  auto four = Map(points);
   SpectralLpmOptions options;
   options.graph.connectivity = GridConnectivity::kMoore;
   options.graph.weight = 1.0;
-  auto eight = SpectralMapper(options).Map(points);
+  auto eight = Map(points, options);
   ASSERT_TRUE(four.ok());
   ASSERT_TRUE(eight.ok());
   EXPECT_GT(eight->lambda2, four->lambda2);
@@ -198,7 +215,7 @@ TEST(SpectralLpm, MapGraphCustomWeights) {
   std::vector<GraphEdge> edges = {
       {0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {0, 3, 10.0}};
   const Graph g = Graph::FromEdges(4, edges);
-  auto result = SpectralMapper().MapGraph(g, nullptr);
+  auto result = Order(OrderingRequest::ForGraph(g));
   ASSERT_TRUE(result.ok());
   // The heavy edge forces 0 and 3 adjacent in the order.
   EXPECT_EQ(std::abs(result->order.RankOf(0) - result->order.RankOf(3)), 1);
@@ -206,8 +223,8 @@ TEST(SpectralLpm, MapGraphCustomWeights) {
 
 TEST(SpectralLpm, DeterministicAcrossRuns) {
   const PointSet points = PointSet::FullGrid(GridSpec({5, 5}));
-  auto a = SpectralMapper().Map(points);
-  auto b = SpectralMapper().Map(points);
+  auto a = Map(points);
+  auto b = Map(points);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (int64_t i = 0; i < points.size(); ++i) {
@@ -215,40 +232,78 @@ TEST(SpectralLpm, DeterministicAcrossRuns) {
   }
 }
 
-TEST(SpectralLpm, LanczosPathOnLargerGrid) {
-  // Force the sparse engine and validate against the closed form
+TEST(SpectralLpm, BlockPathOnLargerGrid) {
+  // Force the block path and validate against the closed form
   // lambda2(16x16 grid) = 2 - 2 cos(pi/16).
   const PointSet points = PointSet::FullGrid(GridSpec({16, 16}));
+  const double exact = 2.0 - 2.0 * std::cos(kPi / 16);
   SpectralLpmOptions options;
-  options.fiedler.method = FiedlerMethod::kLanczos;
-  auto result = SpectralMapper(options).Map(points);
+  options.fiedler.dense_threshold = 0;
+  auto result = Map(points, options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->method_used, "lanczos");
-  EXPECT_NEAR(result->lambda2, 2.0 - 2.0 * std::cos(kPi / 16), 1e-6);
-  // values must be a near-eigenvector: energy == lambda2.
+  EXPECT_NE(result->method.find("block-lanczos"), std::string::npos)
+      << result->method;
+  EXPECT_NEAR(result->lambda2, exact, 1e-6);
+  // The embedding must be a near-eigenvector: energy == lambda2.
   const Graph g = BuildGridGraph(GridSpec({16, 16}));
-  EXPECT_NEAR(DirichletEnergy(g, result->values), result->lambda2, 1e-5);
+  EXPECT_NEAR(DirichletEnergy(g, result->embedding), result->lambda2, 1e-5);
+
+  // The scalar oracle reaches the same closed form.
+  auto oracle = LanczosPath(BuildLaplacian(g));
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  EXPECT_NEAR(oracle->pairs[0].eigenvalue, exact, 1e-6);
 }
 
 TEST(SpectralLpm, EnginesProduceSameOrder) {
   const PointSet points = PointSet::FullGrid(GridSpec({6, 5}));
   SpectralLpmOptions dense;
-  dense.fiedler.method = FiedlerMethod::kDense;
-  SpectralLpmOptions lanczos;
-  lanczos.fiedler.method = FiedlerMethod::kLanczos;
-  auto a = SpectralMapper(dense).Map(points);
-  auto b = SpectralMapper(lanczos).Map(points);
+  dense.fiedler.dense_threshold = points.size();
+  SpectralLpmOptions block;
+  block.fiedler.dense_threshold = 0;
+  auto a = Map(points, dense);
+  auto b = Map(points, block);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->method, "dense-jacobi");
+  EXPECT_EQ(b->method, "block-lanczos");
   for (int64_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(a->order.RankOf(i), b->order.RankOf(i)) << "point " << i;
   }
+
+  // Fiedler level: lambda2 is simple on a 6x5 grid, so the oracle's raw
+  // vector matches the dense embedding up to sign.
+  auto oracle = LanczosPath(BuildLaplacian(BuildGridGraph(GridSpec({6, 5}))));
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_NEAR(oracle->pairs[0].eigenvalue, a->lambda2, 1e-7);
+  EXPECT_NEAR(std::fabs(Dot(oracle->pairs[0].eigenvector, a->embedding)), 1.0,
+              1e-5);
+}
+
+TEST(SpectralLpm, OracleRejectsDisconnectedGraph) {
+  PointSet points(1);
+  points.Add(std::vector<Coord>{0});
+  points.Add(std::vector<Coord>{1});
+  points.Add(std::vector<Coord>{5});
+  points.Add(std::vector<Coord>{6});
+  auto graph = BuildPointGraph(points);
+  ASSERT_TRUE(graph.ok());
+  const SparseMatrix lap = BuildLaplacian(*graph);
+  FiedlerOptions dense;
+  dense.dense_threshold = points.size();
+  auto a = ComputeFiedler(lap, dense);
+  auto b = LanczosPath(lap);
+  EXPECT_EQ(a.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(b.status().code(), StatusCode::kFailedPrecondition);
+  // The engine splits the components instead.
+  auto mapped = Map(points);
+  ASSERT_TRUE(mapped.ok());
+  EXPECT_EQ(mapped->num_components, 2);
 }
 
 TEST(SpectralLpm, ConnectedBlobWorkload) {
   Rng rng(5);
   const PointSet points = SampleConnectedBlob(GridSpec({12, 12}), 60, rng);
-  auto result = SpectralMapper().Map(points);
+  auto result = Map(points);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_components, 1);
   EXPECT_EQ(result->order.size(), points.size());
@@ -259,7 +314,7 @@ TEST(SpectralLpm, InverseDistanceWeightedRadius2) {
   SpectralLpmOptions options;
   options.graph.radius = 2;
   options.graph.kernel = WeightKernel::kInverseDistance;
-  auto result = SpectralMapper(options).Map(points);
+  auto result = Map(points, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->order.size(), 36);
   EXPECT_GT(result->lambda2, 0.0);

@@ -121,7 +121,7 @@ TEST(WarmStart, GarbageWarmStartConvergesToTheSameFiedlerVector) {
   const int64_t n = lap.rows();
 
   FiedlerOptions options;
-  options.method = FiedlerMethod::kBlockLanczos;
+  options.dense_threshold = 0;
   options.num_pairs = 3;
 
   VectorBlock garbage;

@@ -10,7 +10,11 @@ fails on regressions. Four suites are known:
   eigensolver  bench_eigensolver -> bench_results/BENCH_eigensolver.json
                rows keyed (method, workload); gates cold-time share, matvec
                growth (deterministic counts), and residual growth beyond
-               the tolerance contract. The block solver additionally emits
+               the tolerance contract. Shares are taken over the
+               production rows only: the reference solvers ("dense",
+               "lanczos") keep their matvec and residual gates but are
+               left out of the share totals and share check. The block
+               solver additionally emits
                per-kernel "phase-*" share rows (cold_ms = phase wall time,
                matvecs = deterministic flop estimate) plus an
                "hfill-multidot" microbench row; a consistency check
@@ -97,6 +101,10 @@ class Suite:
     def key_of(self, row):
         return tuple(row.get(field, "") for field in self.key_fields)
 
+    def report_only_share(self, key):
+        """True for rows left out of the share totals and share check."""
+        return False
+
     def quality_failures(self, name, base, cur, args):
         raise NotImplementedError
 
@@ -130,6 +138,13 @@ class EigensolverSuite(Suite):
             os.path.join("bench_results", "BENCH_eigensolver.json"),
             ("method", "workload"),
         )
+
+    def report_only_share(self, key):
+        # The reference solvers (dense Jacobi, the scalar Lanczos oracle)
+        # took ~87% of suite time and pushed every production row under
+        # the --min-share floor. They keep their matvec/residual gates;
+        # shares are computed over the production rows only.
+        return key[0] in ("dense", "lanczos")
 
     def quality_failures(self, name, base, cur, args):
         failures = []
@@ -321,9 +336,13 @@ def gate_suite(suite, current, args):
         return [f"{suite.name}: baseline {baseline_path} is missing; "
                 f"commit one (see --help: Updating the baselines)"]
     baseline = load_rows(suite, baseline_path)
-    base_total = sum(
-        row[suite.time_field] for row in baseline.values()) or 1.0
-    cur_total = sum(row[suite.time_field] for row in current.values()) or 1.0
+
+    def share_total(rows):
+        return sum(row[suite.time_field] for key, row in rows.items()
+                   if not suite.report_only_share(key)) or 1.0
+
+    base_total = share_total(baseline)
+    cur_total = share_total(current)
 
     failures = []
     print(f"{'row':44s} {'base_share':>10s} {'cur_share':>10s}  verdict")
@@ -335,10 +354,12 @@ def gate_suite(suite, current, args):
             print(f"{name:44s} {'-':>10s} {'-':>10s}  MISSING")
             continue
 
+        report_only = suite.report_only_share(key)
         base_share = base[suite.time_field] / base_total
         cur_share = cur[suite.time_field] / cur_total
         verdicts = []
-        if (max(base_share, cur_share) >= args.min_share and
+        if (not report_only and
+                max(base_share, cur_share) >= args.min_share and
                 cur_share > base_share * (1.0 + args.cold_tolerance) + 0.005):
             verdicts.append("COLD-REGRESSION")
             failures.append(
@@ -348,8 +369,13 @@ def gate_suite(suite, current, args):
         if quality:
             verdicts.append("QUALITY")
             failures.extend(quality)
-        print(f"{name:44s} {base_share:10.3f} {cur_share:10.3f}  "
-              f"{'+'.join(verdicts) if verdicts else 'ok'}")
+        verdict = '+'.join(verdicts) if verdicts else 'ok'
+        if report_only:
+            print(f"{name:44s} {'-':>10s} {'-':>10s}  {verdict} "
+                  f"(share not gated)")
+        else:
+            print(f"{name:44s} {base_share:10.3f} {cur_share:10.3f}  "
+                  f"{verdict}")
 
     for key in sorted(set(current) - set(baseline)):
         print(f"{key_name(key):44s} (new row, not gated)")

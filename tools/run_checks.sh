@@ -134,20 +134,21 @@ lint() {
   fi
 
   # Consumers must ask for orders through OrderingRequest / MappingService /
-  # the OrderingEngine registry, never by driving SpectralMapper directly —
-  # one way to ask for an order keeps batching and caching in the loop. The
-  # unit tests of the mapper and of its direct adapters are grandfathered.
-  local mapper_uses
-  mapper_uses="$(grep -rn --include='*.cc' --include='*.cpp' --include='*.h' \
-       'SpectralMapper' tests bench tools examples 2>/dev/null \
-     | grep -v '^tests/spectral_lpm_test\.cc:' \
-     | grep -v '^tests/multilevel_test\.cc:' \
-     | grep -v '^tests/recursive_bisection_test\.cc:' \
-     | grep -v '^tests/ordering_engine_test\.cc:')"
-  if [ -n "${mapper_uses}" ]; then
-    echo "${mapper_uses}"
-    echo "FAIL: direct SpectralMapper use outside core/ (see above);" \
-         "go through OrderingRequest + MakeOrderingEngine or MappingService"
+  # the OrderingEngine registry. SpectralMapper, the old second way to ask
+  # for an order, is gone; the ban (library included, nothing grandfathered)
+  # keeps it from coming back.
+  if grep -rn --include='*.cc' --include='*.cpp' --include='*.h' \
+       'SpectralMapper' src tests bench tools examples 2>/dev/null; then
+    echo "FAIL: SpectralMapper use (see above); go through" \
+         "OrderingRequest + MakeOrderingEngine or MappingService"
+    failed=1
+  fi
+
+  # reference/ holds the out-of-library eigensolver oracle that only tests
+  # and benches link; the production library must never include it.
+  if grep -rn --include='*.cc' --include='*.h' '#include "reference/' \
+       src 2>/dev/null; then
+    echo "FAIL: src/ includes a reference/ header (see above)"
     failed=1
   fi
 
