@@ -1,14 +1,12 @@
 // Registry smoke bench: every OrderingEngine on one 64x64 grid through the
 // MappingService facade — cold wall time, warm (cached) wall time, Spearman
 // rank correlation against the spectral order, and the per-engine cache hit
-// rate — plus a multi-component parallel-solve scaling section and a
-// sharded-engine section (grid + Gaussian-kernel blob workloads, K in
-// {1, 2, 4, 8}, quality and wall-clock vs. the monolithic solve at equal
-// parallelism). Each run emits the human tables, CSV mirrors, and a
-// machine-readable bench_results/BENCH_ordering_engines.json (one object
-// per engine/workload/shard-count row) that
-// tools/check_bench_regression.py diffs against the committed baseline —
-// the CI perf gate.
+// rate — plus a section timing the spectral solve on two larger workloads
+// (a rectangular grid and a Gaussian-kernel blob) and a multi-component
+// parallel-solve scaling section. Each run emits the human tables, CSV
+// mirrors, and a machine-readable bench_results/BENCH_ordering_engines.json
+// (one object per engine/workload row) that tools/check_bench_regression.py
+// diffs against the committed baseline — the CI perf gate.
 
 #include <algorithm>
 #include <iostream>
@@ -53,8 +51,8 @@ PointSet MultiComponentPoints() {
 
 // Canonical input order: lexicographically sorted points. Vertex ids are
 // arbitrary, but the spectral sign convention anchors at the lowest id —
-// sorting puts an extreme point first, which keeps the orientation of both
-// the monolithic and the sharded order robust (run-to-run comparable).
+// sorting puts an extreme point first, which keeps the orientation of the
+// order robust (run-to-run comparable).
 PointSet LexSorted(const PointSet& in) {
   std::vector<std::vector<Coord>> rows;
   rows.reserve(static_cast<size_t>(in.size()));
@@ -70,7 +68,6 @@ PointSet LexSorted(const PointSet& in) {
 struct EngineSample {
   std::string engine;
   std::string workload;
-  int shards = 0;  // 0 = not a sharded row
   double cold_ms = 0.0;
   double warm_ms = 0.0;
   double spearman = 0.0;
@@ -87,8 +84,8 @@ void EmitJson() {
   std::vector<std::string> rows;
   for (const EngineSample& s : AllSamples()) {
     rows.push_back("{\"engine\": \"" + s.engine + "\", \"workload\": \"" +
-                   s.workload + "\", \"shards\": " + FormatInt(s.shards) +
-                   ", \"cold_ms\": " + FormatDouble(s.cold_ms, 3) +
+                   s.workload + "\", \"cold_ms\": " +
+                   FormatDouble(s.cold_ms, 3) +
                    ", \"warm_ms\": " + FormatDouble(s.warm_ms, 3) +
                    ", \"spearman_vs_spectral\": " +
                    FormatDouble(s.spearman, 6) + ", \"cache_hit_rate\": " +
@@ -97,16 +94,10 @@ void EmitJson() {
   EmitJsonRows("BENCH_ordering_engines.json", rows);
 }
 
-struct TimedRun {
-  EngineSample sample;
-  std::vector<int64_t> ranks;
-};
-
 // Cold + warm timings for `request` on a fresh service (cold cache), plus
-// the cache hit rate over the two calls and the computed ranks. The caller
-// fills in `sample.spearman` and records the row via AllSamples().
-TimedRun TimeRequest(const OrderingRequest& request,
-                     const std::string& workload, int shards) {
+// the cache hit rate over the two calls.
+EngineSample TimeRequest(const OrderingRequest& request,
+                         const std::string& workload) {
   MappingService service;  // default parallelism + LRU capacity
   WallTimer cold_timer;
   auto result = service.Order(request);
@@ -118,18 +109,16 @@ TimedRun TimeRequest(const OrderingRequest& request,
   SPECTRAL_CHECK(warm.ok()) << request.engine << ": " << warm.status();
 
   const MappingServiceStats stats = service.stats();
-  TimedRun run;
-  run.sample.engine = request.engine;
-  run.sample.workload = workload;
-  run.sample.shards = shards;
-  run.sample.cold_ms = cold_ms;
-  run.sample.warm_ms = warm_ms;
-  run.sample.cache_hit_rate = static_cast<double>(stats.cache_hits) /
-                              static_cast<double>(stats.requests);
-  run.sample.detail = result->detail;
-  run.sample.spearman = 1.0;
-  run.ranks = Ranks(result->order);
-  return run;
+  EngineSample sample;
+  sample.engine = request.engine;
+  sample.workload = workload;
+  sample.cold_ms = cold_ms;
+  sample.warm_ms = warm_ms;
+  sample.cache_hit_rate = static_cast<double>(stats.cache_hits) /
+                          static_cast<double>(stats.requests);
+  sample.detail = result->detail;
+  sample.spearman = 1.0;
+  return sample;
 }
 
 void RunRegistry() {
@@ -172,12 +161,6 @@ void RunRegistry() {
     EngineSample sample;
     sample.engine = name;
     sample.workload = "grid64x64";
-    // Sharded rows key by their real shard count everywhere (the
-    // regression gate keys rows by (engine, workload, shards), and 0
-    // would alias this row with the monolithic ones).
-    if (name == "sharded-spectral") {
-      sample.shards = request.options.sharded.num_shards;
-    }
     sample.cold_ms = cold_ms;
     sample.warm_ms = warm_ms;
     sample.cache_hit_rate =
@@ -203,68 +186,40 @@ void RunRegistry() {
   EmitTable("ordering_engines", table);
 }
 
-// Sharded engine vs. the monolithic solve, at equal parallelism (both run
-// through a default MappingService, so component solves / matvecs /
-// shard fan-out all draw from the same worker count). Workloads: a
-// rectangular full grid and a Gaussian-kernel connected blob — data with a
-// dominant direction, the regime a sharded order is designed for (see
-// core/sharded_engine.h for the degenerate-direction caveat; a square
-// grid's direction is a canonicalization convention, so its Spearman vs.
-// the monolithic convention is structurally lower and is not gated).
-void RunSharded(const std::string& workload, const PointSet& points,
-                const SpectralLpmOptions& spectral, TablePrinter& table) {
-  OrderingRequest mono = OrderingRequest::ForPoints(points, "spectral");
-  mono.options.spectral = spectral;
-  const TimedRun mono_run = TimeRequest(mono, workload, /*shards=*/0);
-  AllSamples().push_back(mono_run.sample);
-  table.AddRow({workload, "spectral", "-",
-                FormatDouble(mono_run.sample.cold_ms, 1),
-                FormatDouble(mono_run.sample.warm_ms, 2), "1.00", "1.000000",
-                mono_run.sample.detail});
-
-  for (const int shards : {1, 2, 4, 8}) {
-    OrderingRequest request =
-        OrderingRequest::ForPoints(points, "sharded-spectral");
-    request.options.spectral = spectral;
-    request.options.sharded.num_shards = shards;
-    TimedRun run = TimeRequest(request, workload, shards);
-    run.sample.spearman = SpearmanRho(mono_run.ranks, run.ranks);
-    AllSamples().push_back(run.sample);
-    table.AddRow({workload, "sharded-spectral", FormatInt(shards),
-                  FormatDouble(run.sample.cold_ms, 1),
-                  FormatDouble(run.sample.warm_ms, 2),
-                  FormatDouble(mono_run.sample.cold_ms / run.sample.cold_ms,
-                               2),
-                  FormatDouble(run.sample.spearman, 6), run.sample.detail});
-  }
-}
-
-void RunShardedSection() {
-  std::cout << "\nSharded engine: partition + concurrent shard solves + "
-               "stitch, vs the monolithic spectral solve at equal "
-               "parallelism (cold = fresh cache; K=1 delegates and must "
-               "match spectral exactly)\n\n";
+// The spectral solve on two workloads larger than the registry grid, each
+// through a fresh default MappingService: a rectangular full grid and a
+// Gaussian-kernel connected blob (non-grid metric data).
+void RunSpectralWorkloads() {
+  std::cout << "\nSpectral solve on larger workloads (cold = fresh cache)"
+               "\n\n";
   TablePrinter table;
-  table.SetHeader({"workload", "engine", "shards", "cold_ms", "warm_ms",
-                   "speedup_vs_mono", "spearman_vs_spectral", "detail"});
+  table.SetHeader({"workload", "engine", "cold_ms", "warm_ms", "detail"});
+  auto run = [&](const std::string& workload, const PointSet& points,
+                 const SpectralLpmOptions& spectral) {
+    OrderingRequest request = OrderingRequest::ForPoints(points, "spectral");
+    request.options.spectral = spectral;
+    const EngineSample sample = TimeRequest(request, workload);
+    AllSamples().push_back(sample);
+    table.AddRow({workload, sample.engine, FormatDouble(sample.cold_ms, 1),
+                  FormatDouble(sample.warm_ms, 2), sample.detail});
+  };
 
   // Rectangular grid: 128x32, the paper's full-grid input stretched to a
   // dominant direction.
-  const PointSet grid_points = PointSet::FullGrid(GridSpec({128, 32}));
-  RunSharded("grid128x32", grid_points, DefaultSpectralOptions(2), table);
+  run("grid128x32", PointSet::FullGrid(GridSpec({128, 32})),
+      DefaultSpectralOptions(2));
 
   // Gaussian-kernel blob: an elongated connected point cloud with
-  // Gaussian-weighted radius-2 edges (non-grid metric data).
+  // Gaussian-weighted radius-2 edges.
   Rng rng(12345);
-  const PointSet blob_points =
-      LexSorted(SampleConnectedBlob(GridSpec({300, 30}), 5000, rng));
   SpectralLpmOptions kernel = DefaultSpectralOptions(2);
   kernel.graph.radius = 2;
   kernel.graph.kernel = WeightKernel::kGaussian;
   kernel.graph.gaussian_sigma = 1.5;
-  RunSharded("kernelblob300x30", blob_points, kernel, table);
+  run("kernelblob300x30",
+      LexSorted(SampleConnectedBlob(GridSpec({300, 30}), 5000, rng)), kernel);
 
-  EmitTable("sharding_engines", table);
+  EmitTable("ordering_engines_workloads", table);
 }
 
 void RunParallelScaling() {
@@ -311,7 +266,7 @@ void RunParallelScaling() {
 
 int main() {
   spectral::bench::RunRegistry();
-  spectral::bench::RunShardedSection();
+  spectral::bench::RunSpectralWorkloads();
   spectral::bench::RunParallelScaling();
   spectral::bench::EmitJson();
   return 0;

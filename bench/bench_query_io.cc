@@ -1,4 +1,4 @@
-// End-to-end page-I/O bench: every OrderingEngine registry mapping is run
+// End-to-end page-I/O bench: every curve engine and the spectral engine run
 // through MappingService -> BuildQueryPath (layout + rank B+-tree + packed
 // R-tree), then a fixed range-query and kNN workload executes against each
 // physical design through an LruBufferPool of each configured size. Rows
@@ -148,8 +148,8 @@ Sample RunEngine(const QueryWorkload& workload, const QueryPath& path,
 
 void Run() {
   const std::vector<std::string> engines = {
-      "sweep", "snake",  "zorder",   "gray",
-      "hilbert", "peano", "spiral", "spectral", "sharded-spectral"};
+      "sweep", "snake", "zorder", "gray", "hilbert", "peano", "spiral",
+      "spectral"};
   const std::vector<int64_t> pool_sizes = {8, 64};
   const std::vector<QueryWorkload> workloads = {MakeGridWorkload(),
                                                 MakeClustersWorkload()};
@@ -172,11 +172,8 @@ void Run() {
     for (const std::string& engine : engines) {
       OrderingRequest request =
           OrderingRequest::ForPoints(workload.points, engine);
-      if (engine == "spectral" || engine == "sharded-spectral") {
+      if (engine == "spectral") {
         request.options.spectral = DefaultSpectralOptions(2);
-      }
-      if (engine == "sharded-spectral") {
-        request.options.sharded.num_shards = 4;
       }
       auto path = BuildQueryPath(request, &service, options);
       SPECTRAL_CHECK(path.ok()) << engine << ": " << path.status();

@@ -156,7 +156,7 @@ ScenarioSample RunDegradedScenario(
     for (size_t i = start; i < end; ++i) {
       auto result = futures[i - start].get();
       SPECTRAL_CHECK(result.ok()) << "degraded: " << result.status();
-      if (result->detail.find("degraded=") != std::string::npos) continue;
+      if (!result->degraded.empty()) continue;
       const auto& reference = direct[static_cast<size_t>(mix.trace[i])];
       const double rho = SpearmanRho(reference, Ranks(result->order));
       sample.spearman_min_vs_direct =

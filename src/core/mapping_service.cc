@@ -11,10 +11,13 @@ namespace spectral {
 namespace {
 
 // Records how a batch slot was served, as the typed field and as the
-// " | cache=..." tag rendered from it onto detail. Both mirror what a
-// one-at-a-time replay would report, so batched and serial results stay
-// byte-identical.
+// " | cache=..." tag rendered from it onto detail, after the " | degraded=..."
+// tag rendered from `degraded`. Both mirror what a one-at-a-time replay
+// would report, so batched and serial results stay byte-identical.
 void Annotate(OrderingResult& result, ServeKind kind) {
+  if (!result.degraded.empty()) {
+    result.detail += " | degraded=" + result.degraded;
+  }
   result.served_from = kind;
   switch (kind) {
     case ServeKind::kDirect:
@@ -64,9 +67,8 @@ std::vector<StatusOr<OrderingResult>> MappingService::OrderBatch(
     /// construction failing), so the solve counters stay honest.
     bool engine_ran = false;
     /// Ladder rung 1 ran: the solve was retried with an escalated budget.
+    /// Rung 2 leaves its mark on the result itself (`degraded`).
     bool retried = false;
-    /// Ladder rung 2 ran: the served order is degraded (never cached).
-    bool degraded = false;
   };
 
   std::vector<StatusOr<OrderingResult>> results(
@@ -132,12 +134,9 @@ std::vector<StatusOr<OrderingResult>> MappingService::OrderBatch(
     }
     job.engine_ran = true;
     // Hand the batch pool down so component solves and matvecs reuse it
-    // (no nested pools), and attach this service as the sub-request router
-    // so composite engines (sharded-spectral) cache their shard solves
-    // here. Neither runtime field ever changes the result.
+    // (no nested pools); the pool never changes the result.
     OrderingRequest shared = *job.request;
     if (pool_ != nullptr) shared.options.spectral.pool = pool_.get();
-    shared.options.service = this;
     shared.options.spectral.faults = options_.faults;
     job.result = (*engine)->Order(shared);
 
@@ -162,7 +161,6 @@ std::vector<StatusOr<OrderingResult>> MappingService::OrderBatch(
     // engine; graph inputs have no geometry to fall back on and serve the
     // best-effort spectral order instead. Both are tagged degraded and
     // carry converged == false.
-    job.degraded = true;
     if (job.request->points != nullptr &&
         job.request->input != OrderingInputKind::kGraph &&
         job.request->engine != options_.fallback_engine) {
@@ -174,13 +172,13 @@ std::vector<StatusOr<OrderingResult>> MappingService::OrderBatch(
                                 options_.fallback_engine));
         if (fallback.ok()) {
           fallback->converged = false;
-          fallback->detail += " | degraded=" + options_.fallback_engine;
+          fallback->degraded = options_.fallback_engine;
           job.result = std::move(fallback);
           return;
         }
       }
     }
-    job.result->detail += " | degraded=unconverged";
+    job.result->degraded = "unconverged";
   };
 
   if (pool_ != nullptr && to_solve.size() > 1) {
@@ -218,8 +216,9 @@ std::vector<StatusOr<OrderingResult>> MappingService::OrderBatch(
         stats_.failures += static_cast<int64_t>(job.slots.size());
         continue;
       }
-      stats_.degraded_orders +=
-          job.degraded ? static_cast<int64_t>(job.slots.size()) : 0;
+      stats_.degraded_orders += job.result->degraded.empty()
+                                    ? 0
+                                    : static_cast<int64_t>(job.slots.size());
       if (job.cached) {
         stats_.cache_hits += static_cast<int64_t>(job.slots.size());
       } else {

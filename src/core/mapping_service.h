@@ -17,8 +17,9 @@
 // one at a time against a fresh engine — cache on or off, any parallelism —
 // because every engine solve is deterministic and independent. The only
 // service-added artifacts record how each request was served: the typed
-// OrderingResult::served_from and the " | cache=hit|miss|off" suffix
-// rendered from it onto OrderingResult::detail; hit/miss/
+// OrderingResult::served_from and ::degraded, and the " | degraded=..." and
+// " | cache=hit|miss|off" suffixes rendered from them onto
+// OrderingResult::detail; hit/miss/
 // eviction *counters* live in the MappingServiceStats struct. (One
 // divergence from a strict serial replay: within a batch, duplicate
 // requests are served from one solve even if a serial replay would have
@@ -66,8 +67,8 @@ struct MappingServiceOptions {
   /// otherwise-ok result). When enabled: retry the solve once with
   /// max_restarts escalated by retry_restart_multiplier; if still
   /// unconverged, serve the fallback curve order (point inputs) or the
-  /// best-effort spectral order (graph inputs), tagged " | degraded=..."
-  /// in detail. Unconverged results are never cached either way — the
+  /// best-effort spectral order (graph inputs), marked in
+  /// OrderingResult::degraded. Unconverged results are never cached either way — the
   /// ladder only decides what gets served.
   bool degrade_unconverged = true;
   /// Restart-budget escalation factor for the ladder's single retry.

@@ -1,10 +1,9 @@
 // Multilevel Fiedler solver: coarsen the graph by heavy-edge matching
-// (graph/coarsening.h's BuildCoarseningHierarchy — the same hierarchy build
-// the sharded partitioner uses), dense-solve the coarsest Laplacian,
-// prolong + Jacobi-smooth the eigenvector *block* up the hierarchy
-// (eigen/warm_start.h), then polish the finest level to full accuracy with
-// the warm-started block Lanczos solver (eigen/block_lanczos.h via
-// ComputeFiedler).
+// (graph/coarsening.h's BuildCoarseningHierarchy), dense-solve the coarsest
+// Laplacian, prolong + Jacobi-smooth the eigenvector *block* up the
+// hierarchy (eigen/warm_start.h), then polish the finest level to full
+// accuracy with the warm-started block Lanczos solver (eigen/block_lanczos.h
+// via ComputeFiedler).
 //
 // Because the finest solve converges to the same tolerance as the flat
 // solver and tracks the whole num_pairs block, degenerate-eigenspace

@@ -5,7 +5,6 @@
 
 #include "core/curve_order.h"
 #include "core/recursive_bisection.h"
-#include "core/sharded_engine.h"
 #include "core/spectral_lpm.h"
 #include "util/string_util.h"
 
@@ -97,7 +96,6 @@ Status CheckRequest(const OrderingRequest& request, std::string_view engine) {
 std::vector<std::string> AllOrderingEngineNames() {
   std::vector<std::string> names = {std::string(kSpectralName),
                                     std::string(kSpectralMultilevelName),
-                                    std::string(kShardedSpectralEngineName),
                                     std::string(kBisectionName)};
   for (CurveKind kind : AllCurveKinds()) {
     names.emplace_back(CurveKindName(kind));
@@ -109,9 +107,6 @@ StatusOr<std::unique_ptr<OrderingEngine>> MakeOrderingEngine(
     std::string_view name) {
   if (name == kSpectralName || name == kSpectralMultilevelName) {
     return MakeSpectralEngine(name);
-  }
-  if (name == kShardedSpectralEngineName) {
-    return MakeShardedSpectralEngine();
   }
   if (name == kBisectionName) {
     return std::unique_ptr<OrderingEngine>(new BisectionEngine());

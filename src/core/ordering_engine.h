@@ -12,9 +12,9 @@
 //
 // Consumers construct engines by name through MakeOrderingEngine — or, for
 // batching and caching, go through the MappingService facade — so adding a
-// backend (a sharded solver, a cached order store, a learned mapping) is
-// one registry entry that is instantly reachable from the CLI, the benches,
-// and the examples. The registry mirrors sfc/curve_registry.h one level up.
+// backend (a cached order store, a learned mapping) is one registry entry
+// that is instantly reachable from the CLI, the benches, and the examples.
+// The registry mirrors sfc/curve_registry.h one level up.
 
 #ifndef SPECTRAL_LPM_CORE_ORDERING_ENGINE_H_
 #define SPECTRAL_LPM_CORE_ORDERING_ENGINE_H_
@@ -71,7 +71,7 @@ struct OrderingResult {
   /// Per-kernel wall time + deterministic flop estimates (block Lanczos
   /// paths; see eigen/kernel_profile.h). Only the flop counters appear in
   /// `detail` — the `*_ms` fields are machine-dependent and detail strings
-  /// are compared byte-for-byte by caching/sharding layers.
+  /// are compared byte-for-byte by the caching layer.
   KernelProfile profile;
   /// The 1-d embedding the order was sorted from (the concatenated
   /// per-component Fiedler vectors); empty for non-spectral engines.
@@ -89,12 +89,18 @@ struct OrderingResult {
   int64_t grid_cells = 0;
 
   /// One-line, method-specific summary ("engine=block-lanczos",
-  /// "grid_side=64", ...) for CLIs and bench logs. MappingService appends a
+  /// "grid_side=64", ...) for CLIs and bench logs. MappingService appends
+  /// a " | degraded=..." suffix rendered from `degraded` (when set) and a
   /// " | cache=off|hit|miss" suffix rendered from `served_from`.
   std::string detail;
 
   /// How MappingService served this result; kDirect for engine calls.
   ServeKind served_from = ServeKind::kDirect;
+
+  /// Empty unless MappingService's degradation ladder served this result:
+  /// then the fallback engine's name, or "unconverged" when the
+  /// best-effort spectral order itself was served.
+  std::string degraded;
 
   /// False when a spectral solve exhausted its restart budget and the order
   /// is a best-effort estimate (mirrored as a "converged=0/1" token in

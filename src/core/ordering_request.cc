@@ -45,8 +45,7 @@ void HashFiedlerOptions(Hasher& h, const FiedlerOptions& o) {
       .MixInt(o.max_restarts)
       .MixUint(o.seed)
       .MixInt(o.block_max_basis)
-      .MixInt(o.cheb_degree_max)
-      .MixDouble(o.degeneracy_rel_tol);
+      .MixInt(o.cheb_degree_max);
 }
 
 void HashSpectralOptions(Hasher& h, const SpectralLpmOptions& o) {
@@ -72,27 +71,16 @@ void HashSpectralOptions(Hasher& h, const SpectralLpmOptions& o) {
 // would split the cache key space between requests with byte-identical
 // results (e.g. two hilbert requests differing only in spectral solver
 // settings). bisection.base is always excluded: the bisection engine
-// overwrites it with `spectral`. The runtime `service` routing pointer is
-// always excluded, like `pool`: it never changes the computed order.
-// Unknown engine names hash every semantic field, which stays conservative
-// for backends registered later.
+// overwrites it with `spectral`. Unknown engine names hash every semantic
+// field, which stays conservative for backends registered later.
 void HashEngineOptions(Hasher& h, std::string_view engine,
                        const OrderingEngineOptions& o) {
   if (CurveKindFromName(engine).ok()) return;  // geometry-only engines
-  const bool bisection = engine == "bisection";
-  const bool sharded = engine == "sharded-spectral";
-  const bool known = engine == "spectral" ||
-                     engine == "spectral-multilevel" || bisection || sharded;
   HashSpectralOptions(h, o.spectral);
-  if (bisection || !known) {
+  if (engine != "spectral" && engine != "spectral-multilevel") {
     h.MixInt(o.bisection.leaf_size)
         .MixInt(o.bisection.max_depth)
         .MixBool(o.bisection.warm_start_children);
-  }
-  if (sharded || !known) {
-    h.MixInt(o.sharded.num_shards)
-        .MixInt(o.sharded.coarsen_target)
-        .MixInt(o.sharded.max_coarsen_levels);
   }
 }
 

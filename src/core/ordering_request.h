@@ -31,25 +31,6 @@
 
 namespace spectral {
 
-class MappingService;
-
-/// Shard shape for the "sharded-spectral" engine: the request's graph is
-/// coarsened, cut into num_shards mass-balanced chunks of the coarse
-/// spectral order, each shard is solved as its own "spectral" sub-request,
-/// and the shard orders are stitched via the spectral order of the
-/// shard-contraction graph (see core/sharded_engine.h).
-struct ShardedEngineOptions {
-  /// Number of shards K. 1 (the default) delegates to the monolithic
-  /// "spectral" engine byte-for-byte; values above the vertex count clamp.
-  int num_shards = 1;
-  /// The partitioner coarsens the graph to at most this many vertices
-  /// before its one cheap spectral solve (the cut must stay far below the
-  /// monolithic eigensolve cost for sharding to win).
-  int64_t coarsen_target = 1024;
-  /// Safety cap on coarsening rounds.
-  int max_coarsen_levels = 30;
-};
-
 /// Per-request configuration shared by every engine family.
 struct OrderingEngineOptions {
   /// Graph build + eigensolver configuration for the spectral family (also
@@ -58,16 +39,6 @@ struct OrderingEngineOptions {
   /// Recursion shape for "bisection"; its `base` member is ignored in favor
   /// of `spectral` above.
   RecursiveBisectionOptions bisection;
-  /// Shard shape for "sharded-spectral".
-  ShardedEngineOptions sharded;
-  /// Runtime-only sub-request routing handle (never fingerprinted, not
-  /// owned): when set, composite engines — today "sharded-spectral" —
-  /// submit the sub-requests they spawn back through this service, so the
-  /// LRU order cache deduplicates repeated shards and the coarse/quotient
-  /// solves across requests. MappingService sets it on every request it
-  /// executes; leave it null for standalone engine calls (engines then
-  /// solve sub-requests directly, with byte-identical results).
-  MappingService* service = nullptr;
 };
 
 /// Which input payload a request carries.

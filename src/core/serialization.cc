@@ -138,7 +138,7 @@ StatusOr<PointSet> ReadPointSet(std::istream& in) {
   int64_t n = -1;
   int dims = -1;
   in >> n >> dims;
-  if (!in.good() || n < 0 || dims < 1) {
+  if (!in.good() || n < 0 || dims < 1 || dims > kMaxPointDims) {
     return InvalidArgumentError("bad point set header");
   }
   PointSet points(dims);

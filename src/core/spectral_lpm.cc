@@ -239,7 +239,7 @@ StatusOr<OrderingResult> OrderGraph(const Graph& graph, const PointSet* points,
   if (!order.ok()) return order.status();
   result.order = std::move(*order);
   // Only the deterministic flop estimates go into detail (it is compared
-  // byte-for-byte by caching/sharding layers); wall times stay in
+  // byte-for-byte by the caching layer); wall times stay in
   // `profile` for --profile output and bench share rows.
   result.detail = "engine=" + result.method +
                   " lambda2=" + FormatDouble(result.lambda2) +

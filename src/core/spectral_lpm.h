@@ -31,8 +31,8 @@ namespace spectral {
 class FaultInjector;
 class OrderingEngine;
 
-/// Options for the spectral family of engines (spectral, sharded-spectral,
-/// and the base of bisection).
+/// Options for the spectral family of engines (spectral,
+/// spectral-multilevel, and the base of bisection).
 struct SpectralLpmOptions {
   /// How the point graph is built (step 1). Ignored for kGraph requests.
   PointGraphOptions graph;

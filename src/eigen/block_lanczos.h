@@ -40,7 +40,7 @@
 // (linalg/packed_basis.h), and the row-parallel Rayleigh-Ritz multi-dot
 // H-fill. ThreadPool::ParallelFor is nest-safe (the caller participates
 // and degrades to serial), so these sites can sit under
-// batch/component/shard Submit tasks without spawning nested pools. Every
+// batch/component Submit tasks without spawning nested pools. Every
 // parallel site partitions only across independent output elements with
 // fixed per-element arithmetic, so eigenpairs, residuals, and all
 // counters are byte-identical for any pool size including none: the pool

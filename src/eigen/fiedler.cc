@@ -12,8 +12,9 @@ namespace spectral {
 
 namespace {
 
-// Eigenvalues within degeneracy_rel_tol * lambda2 + this of lambda2 count
-// as degenerate with it.
+// Eigenvalues within kDegeneracyRelTol * lambda2 + kDegeneracyAbsTol of
+// lambda2 count as degenerate with it.
+constexpr double kDegeneracyRelTol = 1e-5;
 constexpr double kDegeneracyAbsTol = 1e-8;
 
 // Mean-centers a copy of `x` and normalizes it; returns empty if the result
@@ -225,10 +226,10 @@ StatusOr<FiedlerResult> ComputeFiedler(const SparseMatrix& laplacian,
   out.lambda2 = out.pairs[0].eigenvalue;
 
   // Collect the near-degenerate eigenspace of lambda2.
-  const double degen_limit = out.lambda2 +
-                             options.degeneracy_rel_tol *
-                                 std::max(std::fabs(out.lambda2), 1e-30) +
-                             kDegeneracyAbsTol;
+  const double degen_limit =
+      out.lambda2 +
+      kDegeneracyRelTol * std::max(std::fabs(out.lambda2), 1e-30) +
+      kDegeneracyAbsTol;
   std::vector<const Vector*> space;
   for (const auto& pair : out.pairs) {
     if (pair.eigenvalue <= degen_limit) space.push_back(&pair.eigenvector);

@@ -66,9 +66,6 @@ struct FiedlerOptions {
   int block_max_basis = 24;
   /// Max Chebyshev filter degree per restart for block Lanczos (0 = off).
   int cheb_degree_max = 300;
-  /// Eigenvalues within lambda2 * (1 + rel) + 1e-8 are treated as
-  /// degenerate with lambda2.
-  double degeneracy_rel_tol = 1e-5;
   /// Optional worker pool (not owned; must outlive the solve). When set,
   /// the block path's kernels all draw from it: Krylov matvecs on
   /// sufficiently large Laplacians are row-partitioned (SparseOperator in

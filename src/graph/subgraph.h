@@ -1,8 +1,8 @@
 // Induced subgraphs. SplitByLabel is the one splitter behind every
 // spectral-family engine: core/spectral_lpm splits into connected
-// components, recursive bisection into the components of each half, and
-// the sharded engine into shards. BuildInducedSubgraph keeps an arbitrary
-// vertex order, which the bisection's median cut needs.
+// components and recursive bisection into the components of each half.
+// BuildInducedSubgraph keeps an arbitrary vertex order, which the
+// bisection's median cut needs.
 
 #ifndef SPECTRAL_LPM_GRAPH_SUBGRAPH_H_
 #define SPECTRAL_LPM_GRAPH_SUBGRAPH_H_

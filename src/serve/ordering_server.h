@@ -48,7 +48,7 @@
 // are one line each, in submission order per connection):
 //
 //   ORDER <id> <engine> [deadline=<ms>] [connectivity=<orthogonal|moore>]
-//         [radius=<n>] [shards=<k>] GRID <s0>x<s1>[x...]
+//         [radius=<n>] GRID <s0>x<s1>[x...]
 //   ORDER <id> <engine> [options...] POINTS <dims> <n> <c0> <c1> ...
 //   STATS <id>
 //   HEALTH <id>

@@ -27,9 +27,8 @@ bool ParseInt(const std::string& token, int64_t* out) {
   return end != token.c_str() && *end == '\0';
 }
 
-// Payload limits: no curve key holds more than 63 axes, and a GRID line
-// may not expand into more cells than this.
-constexpr int64_t kMaxWireDims = 63;
+// Payload limit beside kMaxPointDims: a GRID line may not expand into more
+// cells than this.
 constexpr int64_t kMaxWireGridCells = int64_t{1} << 24;
 
 template <typename T>
@@ -75,14 +74,6 @@ Status ApplyOrderOption(const std::string& token, WireRequest* out) {
     out->request.options.spectral.graph.radius = static_cast<int>(radius);
     return OkStatus();
   }
-  if (key == "shards") {
-    int64_t shards = 0;
-    if (!ParseInt(value, &shards) || shards < 1 || !Fits<int>(shards)) {
-      return InvalidArgumentError("bad shards '" + value + "'");
-    }
-    out->request.options.sharded.num_shards = static_cast<int>(shards);
-    return OkStatus();
-  }
   return InvalidArgumentError("unknown option '" + key + "'");
 }
 
@@ -105,9 +96,9 @@ Status ParseGridPayload(std::istringstream& in, WireRequest* out) {
     sides.push_back(static_cast<Coord>(side));
   }
   if (sides.empty()) return InvalidArgumentError("empty grid spec");
-  if (static_cast<int64_t>(sides.size()) > kMaxWireDims) {
+  if (static_cast<int64_t>(sides.size()) > kMaxPointDims) {
     return InvalidArgumentError("grid '" + spec + "' has more than " +
-                                FormatInt(kMaxWireDims) + " axes");
+                                FormatInt(kMaxPointDims) + " axes");
   }
   std::string extra;
   if (in >> extra) {
@@ -123,9 +114,9 @@ Status ParseGridPayload(std::istringstream& in, WireRequest* out) {
 Status ParsePointsPayload(std::istringstream& in, WireRequest* out) {
   int64_t dims = 0;
   int64_t n = 0;
-  if (!(in >> dims >> n) || dims < 1 || dims > kMaxWireDims || n < 0) {
+  if (!(in >> dims >> n) || dims < 1 || dims > kMaxPointDims || n < 0) {
     return InvalidArgumentError("POINTS needs <dims> (1.." +
-                                FormatInt(kMaxWireDims) +
+                                FormatInt(kMaxPointDims) +
                                 ") <n> <coords...>");
   }
   PointSet points(static_cast<int>(dims));

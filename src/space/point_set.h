@@ -12,6 +12,11 @@
 
 namespace spectral {
 
+/// Most axes a point set read from untrusted input (a wire POINTS/GRID
+/// payload, a point file) may carry: no curve key holds more than 63 axes.
+/// Parsers check it before allocating per-point storage.
+constexpr int kMaxPointDims = 63;
+
 /// Stores points contiguously (dims coordinates per point). Points keep
 /// their insertion index; duplicates are allowed at insertion and can be
 /// detected via BuildIndex + Find.

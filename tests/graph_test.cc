@@ -5,7 +5,6 @@
 #include "graph/graph.h"
 #include "graph/grid_graph.h"
 #include "graph/laplacian.h"
-#include "graph/partition.h"
 #include "graph/point_graph.h"
 #include "graph/traversal.h"
 #include "linalg/dense_matrix.h"
@@ -242,65 +241,6 @@ TEST(Traversal, BfsUnreachable) {
   const Graph g = Graph::FromEdges(3, std::vector<GraphEdge>{{0, 1, 1.0}});
   const auto dist = BfsDistances(g, 0);
   EXPECT_EQ(dist[2], -1);
-}
-
-TEST(Partition, CoarsenToTargetReachesTargetAndComposesMaps) {
-  // A 16-vertex path halves per matching round: 16 -> 8 -> 4.
-  std::vector<GraphEdge> edges;
-  for (int64_t v = 0; v + 1 < 16; ++v) edges.push_back({v, v + 1, 1.0});
-  const Graph path = Graph::FromEdges(16, edges);
-
-  const CoarseningChain chain = CoarsenToTarget(path, 4, 10);
-  EXPECT_LE(chain.coarse.num_vertices(), 4);
-  EXPECT_GE(chain.levels, 2);
-  ASSERT_EQ(chain.fine_to_coarse.size(), 16u);
-  // The composite map must be onto [0, coarse vertices) and every coarse
-  // vertex must contain a contiguous run of the path (matchings only merge
-  // neighbors).
-  std::vector<int64_t> count(
-      static_cast<size_t>(chain.coarse.num_vertices()), 0);
-  for (int64_t c : chain.fine_to_coarse) {
-    ASSERT_GE(c, 0);
-    ASSERT_LT(c, chain.coarse.num_vertices());
-    ++count[static_cast<size_t>(c)];
-  }
-  for (int64_t c : count) EXPECT_GT(c, 0);
-}
-
-TEST(Partition, CoarsenToTargetIsIdentityWhenAlreadySmall) {
-  const Graph g = Graph::FromEdges(3, std::vector<GraphEdge>{{0, 1, 1.0}});
-  const CoarseningChain chain = CoarsenToTarget(g, 8, 10);
-  EXPECT_EQ(chain.levels, 0);
-  EXPECT_EQ(chain.coarse.num_vertices(), 3);
-  EXPECT_EQ(chain.fine_to_coarse, (std::vector<int64_t>{0, 1, 2}));
-}
-
-TEST(Partition, ContractByPartsSumsCutWeights) {
-  // Two triangles joined by two bridges of weight 0.5 each.
-  const std::vector<GraphEdge> edges = {
-      {0, 1, 1.0}, {1, 2, 1.0}, {0, 2, 1.0},  // part 0
-      {3, 4, 1.0}, {4, 5, 1.0}, {3, 5, 1.0},  // part 1
-      {2, 3, 0.5}, {0, 5, 0.5}};              // bridges
-  const Graph g = Graph::FromEdges(6, edges);
-  const std::vector<int64_t> part_of = {0, 0, 0, 1, 1, 1};
-
-  const GraphContraction contraction = ContractByParts(g, part_of, 2);
-  EXPECT_EQ(contraction.cut_edges, 2);
-  EXPECT_DOUBLE_EQ(contraction.cut_weight, 1.0);
-  EXPECT_EQ(contraction.quotient.num_vertices(), 2);
-  EXPECT_EQ(contraction.quotient.num_edges(), 1);
-  EXPECT_DOUBLE_EQ(contraction.quotient.Weights(0)[0], 1.0);
-}
-
-TEST(Partition, ContractByPartsHandlesIsolatedParts) {
-  // Three parts, no edges between parts 0 and 2.
-  const Graph g = Graph::FromEdges(
-      4, std::vector<GraphEdge>{{0, 1, 1.0}, {2, 3, 1.0}});
-  const std::vector<int64_t> part_of = {0, 0, 1, 2};
-  const GraphContraction contraction = ContractByParts(g, part_of, 3);
-  EXPECT_EQ(contraction.cut_edges, 1);
-  EXPECT_EQ(contraction.quotient.num_vertices(), 3);
-  EXPECT_EQ(contraction.quotient.Degree(0), 0);
 }
 
 }  // namespace

@@ -160,10 +160,8 @@ TEST_P(MalformedAffinityEdge, IsRejectedWithTheSameMessage) {
   auto engine = MakeOrderingEngine(GetParam());
   ASSERT_TRUE(engine.ok());
   for (const MalformedAffinityCase& c : cases) {
-    OrderingRequest request =
-        OrderingRequest::ForPointsWithAffinity(points, {c.edge}, GetParam());
-    request.options.sharded.num_shards = 2;
-    auto result = (*engine)->Order(request);
+    auto result = (*engine)->Order(
+        OrderingRequest::ForPointsWithAffinity(points, {c.edge}, GetParam()));
     ASSERT_FALSE(result.ok()) << GetParam() << ": " << c.message;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(result.status().message(), c.message) << GetParam();
@@ -171,8 +169,7 @@ TEST_P(MalformedAffinityEdge, IsRejectedWithTheSameMessage) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SpectralFamily, MalformedAffinityEdge,
-                         ::testing::Values("spectral", "bisection",
-                                           "sharded-spectral"));
+                         ::testing::Values("spectral", "bisection"));
 
 TEST(OrderingEngineRegistry, CurveAdaptersMatchOrderByCurve) {
   const PointSet points = PointSet::FullGrid(GridSpec({16, 16}));
@@ -245,7 +242,6 @@ TEST(OrderingEngineRegistry, GraphInputCapability) {
     ASSERT_TRUE(engine.ok()) << name;
     const bool is_spectral_family = name == "spectral" ||
                                     name == "spectral-multilevel" ||
-                                    name == "sharded-spectral" ||
                                     name == "bisection";
     EXPECT_EQ((*engine)->supports_graph_input(), is_spectral_family) << name;
     auto result = (*engine)->Order(

@@ -163,10 +163,9 @@ TEST(OrderingRequestFingerprint, OnlyTheNamedEnginesOptionsParticipate) {
   // engine never reads must not split the cache key space...
   const PointSet points = MakePoints();
   {
-    // "spectral" ignores the bisection and shard shapes.
+    // "spectral" ignores the bisection shape.
     const OrderingRequest base_request = OrderingRequest::ForPoints(points);
     OrderingRequest r = base_request;
-    r.options.sharded.num_shards = 4;
     r.options.bisection.leaf_size = 16;
     r.options.bisection.max_depth = 8;
     EXPECT_EQ(r.Fingerprint(), base_request.Fingerprint());
@@ -207,22 +206,6 @@ TEST(OrderingRequestFingerprint, OnlyTheNamedEnginesOptionsParticipate) {
     warm.options.spectral.warm_start_threshold = 1024;
     EXPECT_NE(warm.Fingerprint(), base_request.Fingerprint());
     OrderingRequest ignored = base_request;
-    ignored.options.sharded.num_shards = 4;
-    ignored.options.bisection.leaf_size = 16;
-    EXPECT_EQ(ignored.Fingerprint(), base_request.Fingerprint());
-  }
-  {
-    // sharded-spectral reads the spectral options plus its shard shape,
-    // but not the bisection recursion fields.
-    const OrderingRequest base_request =
-        OrderingRequest::ForPoints(points, "sharded-spectral");
-    OrderingRequest shards = base_request;
-    shards.options.sharded.num_shards = 4;
-    EXPECT_NE(shards.Fingerprint(), base_request.Fingerprint());
-    OrderingRequest coarsen = base_request;
-    coarsen.options.sharded.coarsen_target = 64;
-    EXPECT_NE(coarsen.Fingerprint(), base_request.Fingerprint());
-    OrderingRequest ignored = base_request;
     ignored.options.bisection.leaf_size = 16;
     EXPECT_EQ(ignored.Fingerprint(), base_request.Fingerprint());
   }
@@ -233,9 +216,6 @@ TEST(OrderingRequestFingerprint, OnlyTheNamedEnginesOptionsParticipate) {
     OrderingRequest r = base_request;
     r.options.bisection.leaf_size = 16;
     EXPECT_NE(r.Fingerprint(), base_request.Fingerprint());
-    OrderingRequest s = base_request;
-    s.options.sharded.num_shards = 4;
-    EXPECT_NE(s.Fingerprint(), base_request.Fingerprint());
   }
 }
 

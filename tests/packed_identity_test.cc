@@ -3,8 +3,8 @@
 // fingerprints of the pre-refactor (unpacked VectorBlock) solver exactly
 // — warm and cold, at parallelism 1/2/8. Any change to these hashes means
 // the packed kernels, the strided SpMM, or the counter-driven control
-// flow altered the solver's arithmetic, which breaks the cache/sharding
-// layers' byte-identity contract.
+// flow altered the solver's arithmetic, which breaks the caching layer's
+// byte-identity contract.
 
 #include <algorithm>
 #include <string>
@@ -98,8 +98,8 @@ TEST(PackedIdentity, KernelBlobMatchesPreRefactorOrders) {
 
 // The deterministic halves of the kernel profile must also be identical
 // across pool sizes (the wall-time halves are machine state, explicitly
-// exempt) — they feed OrderingResult::detail, which caching and sharding
-// layers compare byte for byte.
+// exempt) — they feed OrderingResult::detail, which the caching layer
+// compares byte for byte.
 TEST(PackedIdentity, ProfileFlopsArePoolInvariant) {
   const PointSet points = PointSet::FullGrid(GridSpec::Uniform(2, 64));
   auto solve = [&](int parallelism) {

@@ -65,6 +65,33 @@ TEST(Serialization, PointSetRejectsBadHeader) {
   EXPECT_FALSE(ReadPointSet(buffer).ok());
 }
 
+// A point file's dims is checked against kMaxPointDims before anything is
+// allocated: a header naming INT_MAX axes must fail fast, not zero-fill a
+// coordinate buffer of that size.
+TEST(Serialization, PointSetRejectsTooManyDims) {
+  const auto file = [](int dims) {
+    std::stringstream buffer;
+    buffer << "spectral-lpm-points v1\n1 " << dims << "\n";
+    for (int a = 0; a < dims; ++a) buffer << (a > 0 ? " " : "") << a;
+    buffer << "\n";
+    return buffer;
+  };
+  std::stringstream widest = file(kMaxPointDims);
+  auto loaded = ReadPointSet(widest);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->dims(), kMaxPointDims);
+
+  std::stringstream too_wide = file(kMaxPointDims + 1);
+  loaded = ReadPointSet(too_wide);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+  std::stringstream huge("spectral-lpm-points v1\n0 2147483647\n");
+  loaded = ReadPointSet(huge);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(Serialization, PointSetRejectsOutOfRangeCoordinates) {
   for (const char* coord : {"4294967296", "2147483648", "-2147483649"}) {
     std::stringstream buffer;

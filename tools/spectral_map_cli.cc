@@ -10,9 +10,6 @@
 //                     --help is generated from the registry itself)
 //   --connectivity=orthogonal|moore      (spectral family only)
 //   --radius=N                           (default 1)
-//   --shards=K        shard count for --mapping=sharded-spectral (K=1 is
-//                     byte-identical to spectral; K>1 partitions the
-//                     request, solves shards concurrently, stitches)
 //   --parallelism=N   worker threads shared by batch fan-out and the
 //                     spectral solves (0 = hardware concurrency, 1 = serial)
 //   --cache=N         LRU order-cache capacity in entries (default 0 = off)
@@ -50,7 +47,6 @@ struct CliArgs {
   std::string mapping = "spectral";
   GridConnectivity connectivity = GridConnectivity::kOrthogonal;
   int radius = 1;
-  int shards = 1;
   int parallelism = 0;
   int64_t cache = 0;
   int64_t batch = 1;
@@ -69,9 +65,8 @@ bool ParseFlag(const std::string& arg, const std::string& name,
 int Usage() {
   std::cerr << "usage: spectral_map_cli <points.txt> <order.txt> "
                "[--mapping=NAME] [--connectivity=orthogonal|moore] "
-               "[--radius=N] [--shards=K] "
-               "[--parallelism=N] [--cache=N] [--batch=K] [--profile] "
-               "[--quiet]\n"
+               "[--radius=N] [--parallelism=N] [--cache=N] [--batch=K] "
+               "[--profile] [--quiet]\n"
                "known mappings: "
             << StrJoin(AllOrderingEngineNames(), ", ") << "\n";
   return 2;
@@ -87,7 +82,6 @@ int RunCli(const CliArgs& args) {
   OrderingRequest request = OrderingRequest::ForPoints(*points, args.mapping);
   request.options.spectral.graph.connectivity = args.connectivity;
   request.options.spectral.graph.radius = args.radius;
-  request.options.sharded.num_shards = args.shards;
   request.options.spectral.parallelism = args.parallelism;
 
   MappingServiceOptions service_options;
@@ -175,9 +169,6 @@ int main(int argc, char** argv) {
     } else if (spectral::ParseFlag(arg, "radius", &value)) {
       args.radius = std::atoi(value.c_str());
       if (args.radius < 1) return spectral::Usage();
-    } else if (spectral::ParseFlag(arg, "shards", &value)) {
-      args.shards = std::atoi(value.c_str());
-      if (args.shards < 1) return spectral::Usage();
     } else if (spectral::ParseFlag(arg, "parallelism", &value)) {
       args.parallelism = std::atoi(value.c_str());
       if (args.parallelism < 0) return spectral::Usage();
