@@ -134,9 +134,15 @@ std::vector<StatusOr<OrderingResult>> MappingService::OrderBatch(
     }
     job.engine_ran = true;
     // Hand the batch pool down so component solves and matvecs reuse it
-    // (no nested pools); the pool never changes the result.
+    // (no nested pools); the pool never changes the result. A pool-less
+    // service is serial: a request left at "auto" parallelism runs on the
+    // calling thread instead of spawning a pool of its own.
     OrderingRequest shared = *job.request;
-    if (pool_ != nullptr) shared.options.spectral.pool = pool_.get();
+    if (pool_ != nullptr) {
+      shared.options.spectral.pool = pool_.get();
+    } else if (shared.options.spectral.parallelism == 0) {
+      shared.options.spectral.parallelism = 1;
+    }
     shared.options.spectral.faults = options_.faults;
     job.result = (*engine)->Order(shared);
 

@@ -51,8 +51,9 @@ class ThreadPool;
 /// Options for MappingService.
 struct MappingServiceOptions {
   /// Worker threads shared by batch fan-out and the spectral engines'
-  /// component/matvec parallelism. 0 = hardware_concurrency, 1 = serial
-  /// (no pool; each request's own parallelism settings apply unchanged).
+  /// component/matvec parallelism. 0 = hardware_concurrency, 1 = serial:
+  /// no pool, and a request whose spectral.parallelism is 0 ("auto") runs
+  /// with 1; an explicit request value still applies.
   int parallelism = 0;
   /// Capacity of the LRU order cache, in cached results. 0 disables
   /// caching (batch-level deduplication still applies).

@@ -41,6 +41,16 @@ struct MultilevelOptions {
 std::vector<WarmStartLevel> BuildWarmStartLevels(
     const Graph& graph, const CoarseningOptions& coarsen = {});
 
+/// The cascade on prebuilt levels (BuildWarmStartLevels of a connected
+/// graph, at least one level): warm start, then the fine solve on
+/// levels[0].laplacian with the coarse levels already freed. Taking the
+/// levels rather than the graph lets a caller that owns the graph free it
+/// before the fine solve. Same result as ComputeFiedlerMultilevel on that
+/// graph.
+StatusOr<FiedlerResult> ComputeFiedlerOnLevels(
+    std::vector<WarmStartLevel> levels, const FiedlerOptions& fiedler,
+    std::span<const Vector> canonical_axes = {});
+
 /// Computes the Fiedler pair of a *connected* graph's Laplacian through the
 /// coarsen-solve-refine cascade. `fiedler` configures the finest-level
 /// solve (tolerance, num_pairs, degeneracy policy, worker pool) and is the

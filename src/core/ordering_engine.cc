@@ -103,6 +103,10 @@ std::vector<std::string> AllOrderingEngineNames() {
   return names;
 }
 
+std::string_view CanonicalEngineName(std::string_view name) {
+  return name == kSpectralMultilevelName ? kSpectralName : name;
+}
+
 StatusOr<std::unique_ptr<OrderingEngine>> MakeOrderingEngine(
     std::string_view name) {
   if (name == kSpectralName || name == kSpectralMultilevelName) {

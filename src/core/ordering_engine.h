@@ -66,7 +66,8 @@ struct OrderingResult {
   int64_t restarts = 0;
   /// Fused block-operator (SpMM) applications (block Lanczos paths).
   int64_t spmm_calls = 0;
-  /// Reorthogonalization panel-kernel applications (block Lanczos paths).
+  /// Reorthogonalization work units, one per column projected onto one
+  /// basis panel (block Lanczos paths).
   int64_t reorth_panels = 0;
   /// Per-kernel wall time + deterministic flop estimates (block Lanczos
   /// paths; see eigen/kernel_profile.h). Only the flop counters appear in
@@ -140,6 +141,11 @@ Status CheckRequest(const OrderingRequest& request, std::string_view engine);
 /// then the curve families (the concrete list lives in the registry; CLIs
 /// and error messages must derive their listings from this function).
 std::vector<std::string> AllOrderingEngineNames();
+
+/// The engine a registry name denotes: "spectral-multilevel" is an alias
+/// of "spectral"; every other name is its own canonical name. Request
+/// fingerprints hash this, so aliases share cache entries.
+std::string_view CanonicalEngineName(std::string_view name);
 
 /// Constructs the engine registered under `name`; NotFound for unknown
 /// names (the message lists the registry).

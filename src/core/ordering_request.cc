@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/ordering_engine.h"
 #include "sfc/curve_registry.h"
 
 namespace spectral {
@@ -77,7 +78,7 @@ void HashEngineOptions(Hasher& h, std::string_view engine,
                        const OrderingEngineOptions& o) {
   if (CurveKindFromName(engine).ok()) return;  // geometry-only engines
   HashSpectralOptions(h, o.spectral);
-  if (engine != "spectral" && engine != "spectral-multilevel") {
+  if (engine != "spectral") {
     h.MixInt(o.bisection.leaf_size)
         .MixInt(o.bisection.max_depth)
         .MixBool(o.bisection.warm_start_children);
@@ -183,14 +184,16 @@ Status OrderingRequest::Validate() const {
 }
 
 Fingerprint128 OrderingRequest::Fingerprint() const {
+  // Aliases hash as the engine they denote: their results are identical.
+  const std::string_view canonical = CanonicalEngineName(engine);
   Hasher h;
-  h.MixString(engine).MixEnum(input);
+  h.MixString(canonical).MixEnum(input);
   h.MixBool(points != nullptr);
   if (points != nullptr) HashPointSet(h, *points);
   h.MixBool(graph != nullptr);
   if (graph != nullptr) HashGraph(h, *graph);
   HashEdges(h, affinity_edges);
-  HashEngineOptions(h, engine, options);
+  HashEngineOptions(h, canonical, options);
   return h.Finish();
 }
 

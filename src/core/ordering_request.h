@@ -98,7 +98,8 @@ struct OrderingRequest {
   /// MappingService rejects invalid requests without consulting the cache.
   Status Validate() const;
 
-  /// Stable content hash of the request: engine name, input kind, the
+  /// Stable content hash of the request: canonical engine name (an alias
+  /// such as "spectral-multilevel" hashes as "spectral"), input kind, the
   /// *contents* of the point set / graph / affinity edges, and the
   /// effective options — the option fields the named engine actually reads
   /// (curve engines read none; `bisection.base` is always overwritten by

@@ -73,10 +73,14 @@ namespace {
 
 // Steps 2-5 on `graph`: per-component Fiedler solves, each component sorted
 // by its quantized values, components concatenated largest first. `points`
-// (may be null) only canonicalizes degenerate eigenspaces.
-StatusOr<OrderingResult> OrderGraph(const Graph& graph, const PointSet* points,
+// (may be null) only canonicalizes degenerate eigenspaces. The graph is
+// dropped as soon as it is dead — after the component split, or for a
+// connected input once its warm-start hierarchy is built — which frees it
+// when this call holds the only reference (a graph built from points).
+StatusOr<OrderingResult> OrderGraph(std::shared_ptr<const Graph> graph,
+                                    const PointSet* points,
                                     const SpectralLpmOptions& options) {
-  const int64_t n = graph.num_vertices();
+  const int64_t n = graph->num_vertices();
   if (n == 0) return InvalidArgumentError("cannot map an empty graph");
   if (points != nullptr) {
     SPECTRAL_CHECK_EQ(points->size(), n)
@@ -84,18 +88,36 @@ StatusOr<OrderingResult> OrderGraph(const Graph& graph, const PointSet* points,
   }
 
   int64_t num_components = 0;
-  const std::vector<int64_t> comp = ConnectedComponents(graph, &num_components);
+  std::vector<int64_t> comp = ConnectedComponents(*graph, &num_components);
 
-  const std::vector<InducedSubgraph> parts =
-      SplitByLabel(graph, comp, num_components);
+  // A component's graph and its ascending global vertex ids. A connected
+  // input is its own single component: it is solved in place rather than
+  // on SplitByLabel's byte-identical copy, and its (all-zero) labels are
+  // reused as its vertex ids.
+  struct Part {
+    const Graph* graph;
+    std::span<const int64_t> verts;
+  };
+  std::vector<InducedSubgraph> split;
+  std::vector<Part> parts;
+  if (num_components == 1) {
+    std::iota(comp.begin(), comp.end(), 0);
+    parts.push_back({graph.get(), comp});
+  } else {
+    split = SplitByLabel(*graph, comp, num_components);
+    graph.reset();
+    for (const InducedSubgraph& sub : split) {
+      parts.push_back({&sub.graph, sub.local_to_global});
+    }
+  }
 
   // Component processing order: largest first, ties by lowest vertex id
   // (each part's vertices are ascending).
   std::vector<int64_t> comp_order(static_cast<size_t>(num_components));
   std::iota(comp_order.begin(), comp_order.end(), 0);
   std::sort(comp_order.begin(), comp_order.end(), [&](int64_t a, int64_t b) {
-    const auto& ma = parts[static_cast<size_t>(a)].local_to_global;
-    const auto& mb = parts[static_cast<size_t>(b)].local_to_global;
+    const auto& ma = parts[static_cast<size_t>(a)].verts;
+    const auto& mb = parts[static_cast<size_t>(b)].verts;
     if (ma.size() != mb.size()) return ma.size() > mb.size();
     return ma[0] < mb[0];
   });
@@ -125,7 +147,7 @@ StatusOr<OrderingResult> OrderGraph(const Graph& graph, const PointSet* points,
     int threads = options.parallelism;
     if (threads <= 0) threads = ThreadPool::DefaultThreads();
     const int64_t largest_component = static_cast<int64_t>(
-        parts[static_cast<size_t>(comp_order[0])].local_to_global.size());
+        parts[static_cast<size_t>(comp_order[0])].verts.size());
     if (threads > 1 &&
         (num_components > 1 || largest_component >= kDefaultMinParallelRows)) {
       owned_pool = std::make_unique<ThreadPool>(threads);
@@ -135,11 +157,13 @@ StatusOr<OrderingResult> OrderGraph(const Graph& graph, const PointSet* points,
 
   auto solve_component = [&](int64_t c) {
     ComponentSolve& out = solves[static_cast<size_t>(c)];
-    const Graph& sub = parts[static_cast<size_t>(c)].graph;
-    const auto& verts = parts[static_cast<size_t>(c)].local_to_global;
+    const Graph& sub = *parts[static_cast<size_t>(c)].graph;
+    const std::span<const int64_t> verts = parts[static_cast<size_t>(c)].verts;
     const int64_t m = static_cast<int64_t>(verts.size());
-    out.fiedler.fiedler.assign(static_cast<size_t>(m), 0.0);
-    if (m <= 1) return;
+    if (m <= 1) {
+      out.fiedler.fiedler.assign(static_cast<size_t>(m), 0.0);
+      return;
+    }
 
     // Warm-started multilevel path for big components: one hierarchy build
     // feeds the coarsest dense solve, the prolong/smooth ascent, and the
@@ -151,16 +175,25 @@ StatusOr<OrderingResult> OrderGraph(const Graph& graph, const PointSet* points,
                           m >= options.warm_start_threshold;
     std::vector<Vector> axes;
     if (points != nullptr && options.canonicalize_with_axes) {
-      PointSet sub_points(points->dims());
-      for (int64_t v : verts) sub_points.Add((*points)[v]);
-      axes = sub_points.CenteredAxisFunctions();
+      if (num_components == 1) {
+        axes = points->CenteredAxisFunctions();  // the component is the set
+      } else {
+        PointSet sub_points(points->dims());
+        for (int64_t v : verts) sub_points.Add((*points)[v]);
+        axes = sub_points.CenteredAxisFunctions();
+      }
     }
     FiedlerOptions fiedler_options = options.fiedler;
     fiedler_options.matvec_pool = pool;
     StatusOr<FiedlerResult> fiedler = [&]() -> StatusOr<FiedlerResult> {
       if (use_warm) {
-        return ComputeFiedlerMultilevel(sub, options.multilevel,
-                                        fiedler_options, axes);
+        std::vector<WarmStartLevel> levels =
+            BuildWarmStartLevels(sub, options.multilevel.coarsen);
+        // The hierarchy holds all the fine solve needs of a connected
+        // input's graph (`sub` dangles from here on).
+        if (num_components == 1) graph.reset();
+        return ComputeFiedlerOnLevels(std::move(levels), fiedler_options,
+                                      axes);
       }
       return ComputeFiedler(BuildLaplacian(sub), fiedler_options, axes);
     }();
@@ -203,7 +236,7 @@ StatusOr<OrderingResult> OrderGraph(const Graph& graph, const PointSet* points,
   bool recorded_main = false;
 
   for (int64_t c : comp_order) {
-    const auto& verts = parts[static_cast<size_t>(c)].local_to_global;
+    const std::span<const int64_t> verts = parts[static_cast<size_t>(c)].verts;
     const int64_t m = static_cast<int64_t>(verts.size());
     const ComponentSolve& solve = solves[static_cast<size_t>(c)];
     const Vector& values = solve.fiedler.fiedler;
@@ -272,14 +305,15 @@ class SpectralEngine : public OrderingEngine {
     if (Status s = CheckRequest(request, name_); !s.ok()) return s;
     const SpectralLpmOptions options = request.EffectiveSpectralOptions();
     if (request.input == OrderingInputKind::kGraph) {
-      return OrderGraph(*request.graph, request.points.get(), options);
+      return OrderGraph(request.graph, request.points.get(), options);
     }
     if (request.points->empty()) {
       return InvalidArgumentError("cannot map an empty point set");
     }
     auto graph = BuildRequestGraph(*request.points, options);
     if (!graph.ok()) return graph.status();
-    return OrderGraph(*graph, request.points.get(), options);
+    return OrderGraph(std::make_shared<const Graph>(std::move(*graph)),
+                      request.points.get(), options);
   }
 
  private:

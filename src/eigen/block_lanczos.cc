@@ -9,6 +9,7 @@
 #include "linalg/packed_basis.h"
 #include "util/check.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace spectral {
@@ -70,23 +71,24 @@ int64_t PadPackedRandom(int64_t n, int64_t width,
 // <= 1. Columns are renormalized afterwards. These matvecs never touch a
 // Krylov basis, so they cost no reorthogonalization — and the whole block
 // advances through each recurrence step with ONE fused SpMM. The
-// recurrence runs on dense width-w buffers (hoisted into the solver's
-// workspace); the three-term step is evaluated element-wise, identically
-// to the scalar per-column loop, so results are bit-identical to the
-// unfused filter. Flops are billed to profile.cheb_*, including the
-// filter's SpMMs.
+// recurrence runs on three dense n x w buffers carved out of `workspace`
+// (3 * n * w doubles; the solver lends the applied block's storage, which
+// is dead while the filter runs); the three-term step is evaluated
+// element-wise, identically to the scalar per-column loop, so results are
+// bit-identical to the unfused filter. Flops are billed to profile.cheb_*,
+// including the filter's SpMMs.
 void ChebyshevFilterPacked(const LinearOperator& op, double lo, double cut,
                            int degree, PackedBasis& v, int64_t w,
-                           std::vector<double>& prev,
-                           std::vector<double>& curr,
-                           std::vector<double>& next, int64_t& matvecs,
+                           double* workspace, int64_t& matvecs,
                            int64_t& spmm_calls, KernelProfile& profile) {
   const int64_t n = op.Dim();
   if (w == 0) return;
   const double center = (cut + lo) / 2.0;
   const double half_width = (cut - lo) / 2.0;
   const size_t total = static_cast<size_t>(n * w);
-  SPECTRAL_DCHECK_LE(total, prev.size());
+  double* prev = workspace;
+  double* curr = workspace + total;
+  double* next = workspace + 2 * total;
   const int64_t flops_per_spmm = w * op.FlopsPerApply();
   // T_0(t) X = X: pack the block once; the recurrence stays packed.
   for (int64_t r = 0; r < n; ++r) {
@@ -94,34 +96,34 @@ void ChebyshevFilterPacked(const LinearOperator& op, double lo, double cut,
       prev[static_cast<size_t>(r * w + c)] = v.at(r, c);
     }
   }
-  op.ApplyPanel(w, prev.data(), w, curr.data(), w);  // T_1(t) X = t(A) X
+  op.ApplyPanel(w, prev, w, curr, w);  // T_1(t) X = t(A) X
   matvecs += w;
   ++spmm_calls;
   profile.cheb_flops += flops_per_spmm;
   {
-    double* __restrict cw = curr.data();
-    const double* __restrict pr = prev.data();
+    double* __restrict cw = curr;
+    const double* __restrict pr = prev;
     for (size_t e = 0; e < total; ++e) {
       cw[e] = (cw[e] - center * pr[e]) / half_width;
     }
     profile.cheb_flops += 3 * static_cast<int64_t>(total);
   }
   for (int k = 2; k <= degree; ++k) {
-    op.ApplyPanel(w, curr.data(), w, next.data(), w);
+    op.ApplyPanel(w, curr, w, next, w);
     matvecs += w;
     ++spmm_calls;
     profile.cheb_flops += flops_per_spmm;
     {
-      double* __restrict nw = next.data();
-      const double* __restrict cr = curr.data();
-      const double* __restrict pr = prev.data();
+      double* __restrict nw = next;
+      const double* __restrict cr = curr;
+      const double* __restrict pr = prev;
       for (size_t e = 0; e < total; ++e) {
         nw[e] = 2.0 * (nw[e] - center * cr[e]) / half_width - pr[e];
       }
       profile.cheb_flops += 5 * static_cast<int64_t>(total);
     }
-    prev.swap(curr);
-    curr.swap(next);
+    std::swap(prev, curr);
+    std::swap(curr, next);
   }
   for (int64_t c = 0; c < w; ++c) {
     for (int64_t r = 0; r < n; ++r) {
@@ -165,18 +167,20 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
   // --- Solve-lifetime workspace, allocated ONCE and reused across every
   // restart: the packed Krylov basis `v` (capacity max_basis + width: a
   // staged candidate block rides beyond the basis), the packed applied
-  // block `av`, the packed Ritz block, the Chebyshev recurrence buffers,
-  // and small per-column scratch. Nothing below this reallocates per
-  // restart except the dense m x m Rayleigh-Ritz problem itself.
+  // block `av`, and small per-column scratch. Two buffers are lent out
+  // while their owner is dead: the Ritz block lives in v's columns
+  // [ritz0, ritz0 + width), past the basis [0, ritz0) that produced it,
+  // where no restart step writes (those touch only [0, width) and
+  // ritz0 >= width); and `av`'s storage holds the Chebyshev filter's
+  // three n x width recurrence buffers, since `av` is dead between the
+  // Ritz assembly and the next growth round. Nothing below this
+  // reallocates per restart except the dense m x m Rayleigh-Ritz problem
+  // itself.
   PackedBasis v;
   v.Reset(n, max_basis + width);
   PackedBasis av;
-  av.Reset(n, max_basis);
-  PackedBasis ritz_vecs;
-  ritz_vecs.Reset(n, width);
-  std::vector<double> cheb_prev(static_cast<size_t>(n * width));
-  std::vector<double> cheb_curr(static_cast<size_t>(n * width));
-  std::vector<double> cheb_next(static_cast<size_t>(n * width));
+  av.Reset(n, std::max<int64_t>(max_basis, 3 * width));
+  int64_t ritz0 = 0;
   Vector pad_tmp(static_cast<size_t>(n));
   Vector az(static_cast<size_t>(n));
   std::vector<double> coeffs(static_cast<size_t>(max_basis));
@@ -198,9 +202,9 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
   }
   {
     WallTimer timer;
-    OrthogonalizeColumnsAgainstBlock(deflate, v, 0, xw, pool, panels,
+    OrthogonalizeColumnsAgainstBlock(deflate, v, 0, xw, panels,
                                      reorth_flops);
-    xw = OrthonormalizeColumns(v, 0, xw, /*drop_tol=*/1e-10, pool, panels,
+    xw = OrthonormalizeColumns(v, 0, xw, /*drop_tol=*/1e-10, panels,
                                reorth_flops);
     profile.reorth_ms += timer.ElapsedSeconds() * 1e3;
   }
@@ -244,13 +248,13 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
         profile.spmm_ms += timer.ElapsedSeconds() * 1e3;
       }
       WallTimer timer;
-      OrthogonalizeColumnsAgainstBlock(deflate, v, m, cw, pool, panels,
+      OrthogonalizeColumnsAgainstBlock(deflate, v, m, cw, panels,
                                        reorth_flops);
-      OrthogonalizeColumnsAgainstBlock(locked, v, m, cw, pool, panels,
+      OrthogonalizeColumnsAgainstBlock(locked, v, m, cw, panels,
                                        reorth_flops);
-      OrthogonalizeColumnsAgainstColumns(v, 0, m, m, cw, pool, panels,
+      OrthogonalizeColumnsAgainstColumns(v, 0, m, m, cw, panels,
                                          reorth_flops);
-      cw = OrthonormalizeColumns(v, m, cw, /*drop_tol=*/1e-10, pool, panels,
+      cw = OrthonormalizeColumns(v, m, cw, /*drop_tol=*/1e-10, panels,
                                  reorth_flops);
       // Re-clean at unit scale. Near convergence the remainder above is
       // tiny, so normalizing it amplifies the projections' rounding —
@@ -259,13 +263,13 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
       // in and get "found". A second pass over everything at unit norm
       // pins the pollution back to machine epsilon; columns that lose half
       // their mass here were junk and are dropped.
-      OrthogonalizeColumnsAgainstBlock(deflate, v, m, cw, pool, panels,
+      OrthogonalizeColumnsAgainstBlock(deflate, v, m, cw, panels,
                                        reorth_flops);
-      OrthogonalizeColumnsAgainstBlock(locked, v, m, cw, pool, panels,
+      OrthogonalizeColumnsAgainstBlock(locked, v, m, cw, panels,
                                        reorth_flops);
-      OrthogonalizeColumnsAgainstColumns(v, 0, m, m, cw, pool, panels,
+      OrthogonalizeColumnsAgainstColumns(v, 0, m, m, cw, panels,
                                          reorth_flops);
-      cw = OrthonormalizeColumns(v, m, cw, /*drop_tol=*/0.5, pool, panels,
+      cw = OrthonormalizeColumns(v, m, cw, /*drop_tol=*/0.5, panels,
                                  reorth_flops);
       profile.reorth_ms += timer.ElapsedSeconds() * 1e3;
       if (cw == 0) exhausted = true;
@@ -301,6 +305,7 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
     // accumulation (ascending basis index per row) is exactly the old
     // per-column Axpy chain's per-element order.
     const int64_t assemble = std::min<int64_t>(m, width);
+    ritz0 = m;
     ritz.assign(static_cast<size_t>(assemble), RitzInfo{});
     for (int64_t k = 0; k < assemble; ++k) {
       RitzInfo& pair = ritz[static_cast<size_t>(k)];
@@ -319,13 +324,13 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
           zr += u * vr[i];
           azr += u * avr[i];
         }
-        ritz_vecs.at(r, k) = zr;
+        v.at(r, ritz0 + k) = zr;
         az[static_cast<size_t>(r)] = azr;
       }
-      const double norm = NormalizeColumn(ritz_vecs, k);
+      const double norm = NormalizeColumn(v, ritz0 + k);
       if (norm > 0.0) Scale(1.0 / norm, az);
-      const double* z = ritz_vecs.data() + k;
-      const int64_t zld = ritz_vecs.ld();
+      const double* z = v.data() + ritz0 + k;
+      const int64_t zld = v.ld();
       const double mtheta = -pair.theta;
       for (int64_t r = 0; r < n; ++r) {
         az[static_cast<size_t>(r)] += mtheta * z[r * zld];
@@ -349,7 +354,7 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
       locked_vals.push_back(pair.theta);
       locked_res.push_back(pair.residual);
       locked.emplace_back();
-      ritz_vecs.CopyColumnOut(newly_locked, locked.back());
+      v.CopyColumnOut(ritz0 + newly_locked, locked.back());
       pair.taken = true;
       ++newly_locked;
     }
@@ -360,8 +365,8 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
 
     // --- Restart from the best unconverged Ritz vectors (thick restart:
     // the dense Rayleigh-Ritz above accepts any starting subspace). The
-    // Ritz columns are copied, not moved: `ritz_vecs` doubles as the
-    // best-effort answer when max_restarts runs out below.
+    // Ritz columns are copied, not moved: the Ritz block at ritz0 doubles
+    // as the best-effort answer when max_restarts runs out below.
     xw = 0;
     double worst_residual = 0.0;
     double wanted_theta_min = 0.0;
@@ -372,7 +377,7 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
         worst_residual = std::max(worst_residual, pair.residual);
         wanted_theta_min = pair.theta;
       }
-      for (int64_t r = 0; r < n; ++r) v.at(r, xw) = ritz_vecs.at(r, k);
+      v.CopyColumn(ritz0 + k, xw);
       ++xw;
     }
 
@@ -400,9 +405,8 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
             WallTimer timer;
             ChebyshevFilterPacked(op, lo, cut,
                                   std::min(degree, options.cheb_degree_max),
-                                  v, xw, cheb_prev, cheb_curr, cheb_next,
-                                  result.matvecs, result.spmm_calls,
-                                  profile);
+                                  v, xw, av.data(), result.matvecs,
+                                  result.spmm_calls, profile);
             profile.cheb_ms += timer.ElapsedSeconds() * 1e3;
           }
         }
@@ -411,11 +415,11 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
 
     {
       WallTimer timer;
-      OrthogonalizeColumnsAgainstBlock(deflate, v, 0, xw, pool, panels,
+      OrthogonalizeColumnsAgainstBlock(deflate, v, 0, xw, panels,
                                        reorth_flops);
-      OrthogonalizeColumnsAgainstBlock(locked, v, 0, xw, pool, panels,
+      OrthogonalizeColumnsAgainstBlock(locked, v, 0, xw, panels,
                                        reorth_flops);
-      xw = OrthonormalizeColumns(v, 0, xw, /*drop_tol=*/1e-10, pool, panels,
+      xw = OrthonormalizeColumns(v, 0, xw, /*drop_tol=*/1e-10, panels,
                                  reorth_flops);
       profile.reorth_ms += timer.ElapsedSeconds() * 1e3;
     }
@@ -439,7 +443,7 @@ StatusOr<BlockLanczosResult> LargestEigenpairsBlock(
       locked_vals.push_back(pair.theta);
       locked_res.push_back(pair.residual);
       locked.emplace_back();
-      ritz_vecs.CopyColumnOut(static_cast<int64_t>(k), locked.back());
+      v.CopyColumnOut(ritz0 + static_cast<int64_t>(k), locked.back());
     }
   }
   result.eigenvalues = std::move(locked_vals);

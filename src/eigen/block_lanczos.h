@@ -34,18 +34,20 @@
 // input, deflation set, locked eigenvector output).
 //
 // Threading model: BlockLanczosOptions::pool is the ONE worker set shared
-// by every parallel site in a solve — the operator's row-partitioned
-// strided SpMM (via SparseOperator's pool, wired by the Fiedler driver to
-// the same pool), the column-parallel panel reorthogonalization
-// (linalg/packed_basis.h), and the row-parallel Rayleigh-Ritz multi-dot
-// H-fill. ThreadPool::ParallelFor is nest-safe (the caller participates
-// and degrades to serial), so these sites can sit under
-// batch/component Submit tasks without spawning nested pools. Every
-// parallel site partitions only across independent output elements with
-// fixed per-element arithmetic, so eigenpairs, residuals, and all
-// counters are byte-identical for any pool size including none: the pool
-// is a runtime resource, never part of the result. Wall-clock fields in
-// `profile` are the ONLY machine-dependent outputs.
+// by the solve's parallel sites — the operator's row-partitioned strided
+// SpMM (via SparseOperator's pool, wired by the Fiedler driver to the same
+// pool) and the row-parallel Rayleigh-Ritz multi-dot H-fill. The BCGS2
+// reorthogonalization runs on the calling thread: its fused row sweeps
+// serve every block column at once (linalg/packed_basis.h), which
+// measured faster than any per-column fan-out. ThreadPool::ParallelFor is
+// nest-safe (the caller participates and degrades to serial), so these
+// sites can sit under batch/component Submit tasks without spawning
+// nested pools. Every parallel site partitions only across independent
+// output elements with fixed per-element arithmetic, so eigenpairs,
+// residuals, and all counters are byte-identical for any pool size
+// including none: the pool is a runtime resource, never part of the
+// result. Wall-clock fields in `profile` are the ONLY machine-dependent
+// outputs.
 
 #ifndef SPECTRAL_LPM_EIGEN_BLOCK_LANCZOS_H_
 #define SPECTRAL_LPM_EIGEN_BLOCK_LANCZOS_H_
@@ -82,8 +84,9 @@ struct BlockLanczosOptions {
   /// block, see eigen/warm_start.h). Any width; projected onto the
   /// complement of the deflation set, padded with random columns to the
   /// block width. A garbage start only costs iterations — the solver falls
-  /// back to the random-start behaviour.
-  VectorBlock start;
+  /// back to the random-start behaviour. A view, not a copy: the columns
+  /// must outlive the solve.
+  std::span<const Vector> start;
   /// Max Chebyshev filter degree per restart; 0 disables the accelerator.
   int cheb_degree_max = 300;
   /// Known lower bound of op's spectrum (the damped interval starts here).
@@ -112,8 +115,9 @@ struct BlockLanczosResult {
   /// Fused block-operator applications (each covers `matvecs / spmm_calls`
   /// columns on average — the SpMM amortization factor).
   int64_t spmm_calls = 0;
-  /// Reorthogonalization panel-kernel applications (passes x panels x
-  /// columns, see linalg/packed_basis.h).
+  /// Reorthogonalization work units: passes x panels x block columns, one
+  /// unit per column projected onto one basis panel (a work count, not a
+  /// kernel-call count; see linalg/packed_basis.h).
   int64_t reorth_panels = 0;
   /// Restart cycles consumed.
   int restarts = 0;

@@ -67,12 +67,11 @@ struct FiedlerOptions {
   /// Max Chebyshev filter degree per restart for block Lanczos (0 = off).
   int cheb_degree_max = 300;
   /// Optional worker pool (not owned; must outlive the solve). When set,
-  /// the block path's kernels all draw from it: Krylov matvecs on
+  /// the block path's kernels draw from it: Krylov matvecs on
   /// sufficiently large Laplacians are row-partitioned (SparseOperator in
-  /// eigen/operator.h), and the block solver's reorthogonalization panels
-  /// and Rayleigh-Ritz Gram fill parallelize across columns/rows
-  /// (BlockLanczosOptions::pool). Results are bit-identical to the serial
-  /// path for any pool size.
+  /// eigen/operator.h), and the block solver's Rayleigh-Ritz Gram fill
+  /// parallelizes across rows (BlockLanczosOptions::pool). Results are
+  /// bit-identical to the serial path for any pool size.
   ThreadPool* matvec_pool = nullptr;
 };
 
@@ -99,8 +98,8 @@ struct FiedlerResult {
   /// the dense path. matvecs / spmm_calls is the per-call column
   /// amortization the fused kernel achieved.
   int64_t spmm_calls = 0;
-  /// Reorthogonalization panel-kernel applications by the block path
-  /// (see linalg/packed_basis.h).
+  /// Reorthogonalization work units of the block path: one per column
+  /// projected onto one basis panel (see linalg/packed_basis.h).
   int64_t reorth_panels = 0;
   /// Restart cycles consumed by the block path.
   int64_t restarts = 0;

@@ -3,105 +3,164 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <functional>
+#include <type_traits>
 
 #include "util/check.h"
 
 namespace spectral {
 namespace {
 
-// One panel of the BCGS2 projection when the basis panel lives in the
-// packed buffer itself: a fused Gram pass (all PW coefficients in one
-// stream over x) followed by a fused multi-AXPY update. Lanes
-// [b0, b0 + PW) are contiguous per row, so one row pointer serves all PW
-// coefficients; the compile-time width keeps coefficients in registers.
-// Accumulation is ascending-row per coefficient and ascending-lane per
-// element, the same for every PW. No __restrict: the target column
-// aliases the same buffer (disjoint lanes).
-template <int PW>
-void PanelProjectPackedFixed(double* data, int64_t ld, int64_t n, int64_t b0,
-                             int64_t xc) {
-  const double* b = data + b0;
-  double* x = data + xc;
-  double coeffs[PW] = {};
-  for (int64_t r = 0; r < n; ++r) {
-    const double xi = x[r * ld];
-    const double* br = b + r * ld;
-    for (int c = 0; c < PW; ++c) coeffs[c] += br[c] * xi;
-  }
-  for (int64_t r = 0; r < n; ++r) {
-    const double* br = b + r * ld;
-    double acc = x[r * ld];
-    for (int c = 0; c < PW; ++c) acc -= coeffs[c] * br[c];
-    x[r * ld] = acc;
-  }
-}
-
-void PanelProjectPacked(double* data, int64_t ld, int64_t n, int64_t b0,
-                        int64_t pw, int64_t xc) {
+// Calls fn(std::integral_constant<int, PW>{}) for the runtime panel width
+// pw in [1, kReorthPanelWidth], so every panel kernel below is compiled
+// with a fixed width and keeps its coefficients in registers.
+template <class Fn>
+void WithPanelWidth(int64_t pw, Fn&& fn) {
   switch (pw) {
-    case 1: return PanelProjectPackedFixed<1>(data, ld, n, b0, xc);
-    case 2: return PanelProjectPackedFixed<2>(data, ld, n, b0, xc);
-    case 3: return PanelProjectPackedFixed<3>(data, ld, n, b0, xc);
-    case 4: return PanelProjectPackedFixed<4>(data, ld, n, b0, xc);
-    case 5: return PanelProjectPackedFixed<5>(data, ld, n, b0, xc);
-    case 6: return PanelProjectPackedFixed<6>(data, ld, n, b0, xc);
-    case 7: return PanelProjectPackedFixed<7>(data, ld, n, b0, xc);
-    case 8: return PanelProjectPackedFixed<8>(data, ld, n, b0, xc);
+    case 1: return fn(std::integral_constant<int, 1>{});
+    case 2: return fn(std::integral_constant<int, 2>{});
+    case 3: return fn(std::integral_constant<int, 3>{});
+    case 4: return fn(std::integral_constant<int, 4>{});
+    case 5: return fn(std::integral_constant<int, 5>{});
+    case 6: return fn(std::integral_constant<int, 6>{});
+    case 7: return fn(std::integral_constant<int, 7>{});
+    case 8: return fn(std::integral_constant<int, 8>{});
     default:
       SPECTRAL_CHECK_LE(pw, kReorthPanelWidth);
   }
 }
 
-// Same kernel with an unpacked (Vector) basis panel and a strided target
-// column — used to project packed columns against deflation/locked sets
-// that live as contiguous Vectors.
+// A basis panel that lives in the packed buffer itself: lanes
+// [b0, b0 + PW) of every row, contiguous per row.
+struct PackedPanel {
+  const double* base;  // data + b0
+  int64_t ld;
+  double operator()(int64_t r, int c) const { return base[r * ld + c]; }
+};
+
+// A basis panel of PW contiguous Vectors (deflation and locked sets).
 template <int PW>
-void PanelProjectVectorsFixed(const Vector* basis, size_t p0, double* x,
-                              int64_t ld, int64_t n) {
-  const double* __restrict b[PW];
-  for (int c = 0; c < PW; ++c) {
-    b[c] = basis[p0 + static_cast<size_t>(c)].data();
-  }
-  double coeffs[PW] = {};
+struct VectorPanel {
+  const double* cols[PW];
+  double operator()(int64_t r, int c) const { return cols[c][r]; }
+};
+
+// Target lanes per register tile of the Gram sweep. TJ x PW accumulators
+// (2 x 8 doubles) plus one basis row fit the SSE2 register file; a
+// runtime-indexed accumulator array would spill every one of them.
+constexpr int kGramTileLanes = 2;
+// Target lanes whose coefficients one panel step keeps on the stack.
+// Wider blocks are processed in groups (the lanes are independent).
+constexpr int64_t kTargetGroup = 8;
+
+// Gram coefficients of TJ adjacent target lanes `x` against one PW-wide
+// basis panel: coeffs[j * kReorthPanelWidth + c] is the sum over rows of
+// b(r, c) * x_j[r], accumulated from 0 in ascending row order, exactly as
+// a single-column Gram pass does.
+template <int TJ, int PW, class Panel>
+void GramTile(const Panel& b, const double* x, int64_t ld, int64_t n,
+              double* coeffs) {
+  double acc[TJ][PW] = {};
   for (int64_t r = 0; r < n; ++r) {
-    const double xi = x[r * ld];
-    for (int c = 0; c < PW; ++c) coeffs[c] += b[c][r] * xi;
+    double br[PW];
+    for (int c = 0; c < PW; ++c) br[c] = b(r, c);
+    const double* xr = x + r * ld;
+    for (int j = 0; j < TJ; ++j) {
+      const double xj = xr[j];
+      for (int c = 0; c < PW; ++c) acc[j][c] += br[c] * xj;
+    }
   }
-  for (int64_t r = 0; r < n; ++r) {
-    double acc = x[r * ld];
-    for (int c = 0; c < PW; ++c) acc -= coeffs[c] * b[c][r];
-    x[r * ld] = acc;
+  for (int j = 0; j < TJ; ++j) {
+    for (int c = 0; c < PW; ++c) coeffs[j * kReorthPanelWidth + c] = acc[j][c];
   }
 }
 
-void PanelProjectVectors(std::span<const Vector> basis, size_t p0, size_t pw,
-                         double* x, int64_t ld, int64_t n) {
-  switch (pw) {
-    case 1: return PanelProjectVectorsFixed<1>(basis.data(), p0, x, ld, n);
-    case 2: return PanelProjectVectorsFixed<2>(basis.data(), p0, x, ld, n);
-    case 3: return PanelProjectVectorsFixed<3>(basis.data(), p0, x, ld, n);
-    case 4: return PanelProjectVectorsFixed<4>(basis.data(), p0, x, ld, n);
-    case 5: return PanelProjectVectorsFixed<5>(basis.data(), p0, x, ld, n);
-    case 6: return PanelProjectVectorsFixed<6>(basis.data(), p0, x, ld, n);
-    case 7: return PanelProjectVectorsFixed<7>(basis.data(), p0, x, ld, n);
-    case 8: return PanelProjectVectorsFixed<8>(basis.data(), p0, x, ld, n);
-    default:
-      SPECTRAL_CHECK_LE(pw, static_cast<size_t>(kReorthPanelWidth));
+// One BCGS panel step for `cols` adjacent target lanes: the Gram sweep in
+// register tiles, then ONE update sweep over the rows that serves every
+// target lane, subtracting in ascending panel-lane order per element. Per
+// element this is exactly the single-column fused Gram + multi-AXPY pass,
+// so the result does not depend on how many lanes share a sweep. The basis
+// row is read into locals before any target lane is written, which keeps
+// the in-buffer case (the panel aliases the same rows, disjoint lanes)
+// correct without __restrict.
+template <int PW, class Panel>
+void ProjectPanel(const Panel& b, double* x, int64_t ld, int64_t n,
+                  int64_t cols) {
+  for (int64_t g0 = 0; g0 < cols; g0 += kTargetGroup) {
+    const int64_t tw = std::min(kTargetGroup, cols - g0);
+    double* xg = x + g0;
+    double coeffs[kTargetGroup * kReorthPanelWidth];
+    int64_t j = 0;
+    for (; j + kGramTileLanes <= tw; j += kGramTileLanes) {
+      GramTile<kGramTileLanes, PW>(b, xg + j, ld, n,
+                                   coeffs + j * kReorthPanelWidth);
+    }
+    for (; j < tw; ++j) {
+      GramTile<1, PW>(b, xg + j, ld, n, coeffs + j * kReorthPanelWidth);
+    }
+    for (int64_t r = 0; r < n; ++r) {
+      double br[PW];
+      for (int c = 0; c < PW; ++c) br[c] = b(r, c);
+      double* xr = xg + r * ld;
+      for (int64_t t = 0; t < tw; ++t) {
+        const double* ct = coeffs + t * kReorthPanelWidth;
+        double acc = xr[t];
+        for (int c = 0; c < PW; ++c) acc -= ct[c] * br[c];
+        xr[t] = acc;
+      }
+    }
   }
 }
 
-// Column dispatch: one task owns one output column end to end, and small
-// blocks skip the pool (kMinParallelWork), so results never depend on the
-// pool size.
-void ForEachColumn(ThreadPool* pool, int64_t cols, int64_t column_size,
-                   const std::function<void(int64_t)>& fn) {
-  if (pool != nullptr && pool->num_threads() >= 2 && cols >= 2 &&
-      cols * column_size >= kMinParallelWork) {
-    pool->ParallelFor(0, cols, 1, fn);
+// NormalizeColumn's tail, given the column's sum of squares: the norm,
+// and the scaling unless it is below `tiny`.
+double ScaleToUnit(PackedBasis& v, int64_t c, double sum_sq, double tiny) {
+  const double norm = std::sqrt(sum_sq);
+  if (norm < tiny) return 0.0;
+  const double alpha = 1.0 / norm;
+  double* x = v.data() + c;
+  const int64_t ld = v.ld();
+  const int64_t n = v.rows();
+  for (int64_t r = 0; r < n; ++r) x[r * ld] *= alpha;
+  return norm;
+}
+
+// Two-pass MGS of column `xc` against the orthonormal columns [q0, q1),
+// then NormalizeColumn; returns the norm. The sweeps are pipelined: each
+// AXPY x -= <q_i, x> q_i rides in the sweep that forms the next dot, and
+// the last one in the norm's sum of squares, so a column costs
+// 2k + 2 sweeps instead of 4k + 2 (k = q1 - q0). Per element the
+// arithmetic is the unfused DotColumns / AxpyColumn / NormalizeColumn
+// sequence: every dot reads x[r] after the previous AXPY updated it.
+double MgsColumn(PackedBasis& v, int64_t q0, int64_t q1, int64_t xc) {
+  const int64_t ld = v.ld();
+  const int64_t n = v.rows();
+  double* x = v.data() + xc;
+  const int64_t k = q1 - q0;
+  // Projection i of the 2k-long sequence uses basis column q0 + i % k.
+  double acc = 0.0;
+  if (k > 0) {
+    const double* q = v.data() + q0;
+    for (int64_t r = 0; r < n; ++r) acc += q[r * ld] * x[r * ld];
+    for (int64_t i = 1; i < 2 * k; ++i) {
+      const double alpha = -acc;
+      const double* next = v.data() + q0 + i % k;
+      acc = 0.0;
+      for (int64_t r = 0; r < n; ++r) {
+        x[r * ld] += alpha * q[r * ld];
+        acc += next[r * ld] * x[r * ld];
+      }
+      q = next;
+    }
+    const double alpha = -acc;
+    acc = 0.0;
+    for (int64_t r = 0; r < n; ++r) {
+      x[r * ld] += alpha * q[r * ld];
+      acc += x[r * ld] * x[r * ld];
+    }
   } else {
-    for (int64_t j = 0; j < cols; ++j) fn(j);
+    for (int64_t r = 0; r < n; ++r) acc += x[r * ld] * x[r * ld];
   }
+  return ScaleToUnit(v, xc, acc, 1e-300);
 }
 
 // Fixed-width H-fill lanes: both dot products of the symmetrized
@@ -124,23 +183,6 @@ void HfillPanelFixed(const double* vd, const double* avd, int64_t ld_v,
     }
   }
   for (int c = 0; c < PW; ++c) out[c] = (a[c] + b[c]) / 2.0;
-}
-
-void HfillPanel(const double* vd, const double* avd, int64_t ld_v,
-                int64_t ld_av, int64_t n, int64_t i, int64_t j0, int64_t pw,
-                double* out) {
-  switch (pw) {
-    case 1: return HfillPanelFixed<1>(vd, avd, ld_v, ld_av, n, i, j0, out);
-    case 2: return HfillPanelFixed<2>(vd, avd, ld_v, ld_av, n, i, j0, out);
-    case 3: return HfillPanelFixed<3>(vd, avd, ld_v, ld_av, n, i, j0, out);
-    case 4: return HfillPanelFixed<4>(vd, avd, ld_v, ld_av, n, i, j0, out);
-    case 5: return HfillPanelFixed<5>(vd, avd, ld_v, ld_av, n, i, j0, out);
-    case 6: return HfillPanelFixed<6>(vd, avd, ld_v, ld_av, n, i, j0, out);
-    case 7: return HfillPanelFixed<7>(vd, avd, ld_v, ld_av, n, i, j0, out);
-    case 8: return HfillPanelFixed<8>(vd, avd, ld_v, ld_av, n, i, j0, out);
-    default:
-      SPECTRAL_CHECK_LE(pw, kReorthPanelWidth);
-  }
 }
 
 }  // namespace
@@ -167,14 +209,7 @@ void AxpyColumn(double alpha, PackedBasis& v, int64_t src, int64_t dst) {
 }
 
 double NormalizeColumn(PackedBasis& v, int64_t c, double tiny) {
-  const double norm = std::sqrt(DotColumns(v, c, v, c));
-  if (norm < tiny) return 0.0;
-  const double alpha = 1.0 / norm;
-  double* x = v.data() + c;
-  const int64_t ld = v.ld();
-  const int64_t n = v.rows();
-  for (int64_t r = 0; r < n; ++r) x[r * ld] *= alpha;
-  return norm;
+  return ScaleToUnit(v, c, DotColumns(v, c, v, c), tiny);
 }
 
 void OrthogonalizeVectorAgainstColumns(const PackedBasis& v, int64_t cols,
@@ -200,35 +235,36 @@ void OrthogonalizeVectorAgainstColumns(const PackedBasis& v, int64_t cols,
 
 void OrthogonalizeColumnsAgainstBlock(std::span<const Vector> basis,
                                       PackedBasis& v, int64_t block0,
-                                      int64_t block_cols, ThreadPool* pool,
-                                      int64_t* panels, int64_t* flops) {
+                                      int64_t block_cols, int64_t* panels,
+                                      int64_t* flops) {
   if (basis.empty() || block_cols == 0) return;
   const int64_t n = v.rows();
   const int64_t ld = v.ld();
-  const size_t num_panels =
-      (basis.size() + kReorthPanelWidth - 1) / kReorthPanelWidth;
+  const int64_t basis_cols = static_cast<int64_t>(basis.size());
+  const int64_t num_panels =
+      (basis_cols + kReorthPanelWidth - 1) / kReorthPanelWidth;
+  double* x = v.data() + block0;
   for (int pass = 0; pass < 2; ++pass) {
-    ForEachColumn(pool, block_cols, n, [&](int64_t j) {
-      double* x = v.data() + block0 + j;
-      for (size_t p0 = 0; p0 < basis.size(); p0 += kReorthPanelWidth) {
-        const size_t pw = std::min(static_cast<size_t>(kReorthPanelWidth),
-                                   basis.size() - p0);
-        PanelProjectVectors(basis, p0, pw, x, ld, n);
-      }
-    });
+    for (int64_t p0 = 0; p0 < basis_cols; p0 += kReorthPanelWidth) {
+      WithPanelWidth(std::min(kReorthPanelWidth, basis_cols - p0),
+                     [&](auto w) {
+                       constexpr int kPw = decltype(w)::value;
+                       VectorPanel<kPw> b;
+                       for (int c = 0; c < kPw; ++c) {
+                         b.cols[c] = basis[static_cast<size_t>(p0 + c)].data();
+                       }
+                       ProjectPanel<kPw>(b, x, ld, n, block_cols);
+                     });
+    }
   }
-  if (panels != nullptr) {
-    *panels += 2 * static_cast<int64_t>(num_panels) * block_cols;
-  }
-  if (flops != nullptr) {
-    *flops += 8 * n * static_cast<int64_t>(basis.size()) * block_cols;
-  }
+  if (panels != nullptr) *panels += 2 * num_panels * block_cols;
+  if (flops != nullptr) *flops += 8 * n * basis_cols * block_cols;
 }
 
 void OrthogonalizeColumnsAgainstColumns(PackedBasis& v, int64_t basis0,
                                         int64_t basis_cols, int64_t block0,
-                                        int64_t block_cols, ThreadPool* pool,
-                                        int64_t* panels, int64_t* flops) {
+                                        int64_t block_cols, int64_t* panels,
+                                        int64_t* flops) {
   if (basis_cols == 0 || block_cols == 0) return;
   SPECTRAL_DCHECK(basis0 + basis_cols <= block0 || block0 + block_cols <=
                                                       basis0);
@@ -236,22 +272,24 @@ void OrthogonalizeColumnsAgainstColumns(PackedBasis& v, int64_t basis0,
   const int64_t ld = v.ld();
   const int64_t num_panels =
       (basis_cols + kReorthPanelWidth - 1) / kReorthPanelWidth;
+  double* x = v.data() + block0;
   for (int pass = 0; pass < 2; ++pass) {
-    ForEachColumn(pool, block_cols, n, [&](int64_t j) {
-      const int64_t xc = block0 + j;
-      for (int64_t p0 = 0; p0 < basis_cols; p0 += kReorthPanelWidth) {
-        const int64_t pw = std::min(kReorthPanelWidth, basis_cols - p0);
-        PanelProjectPacked(v.data(), ld, n, basis0 + p0, pw, xc);
-      }
-    });
+    for (int64_t p0 = 0; p0 < basis_cols; p0 += kReorthPanelWidth) {
+      const PackedPanel b{v.data() + basis0 + p0, ld};
+      WithPanelWidth(std::min(kReorthPanelWidth, basis_cols - p0),
+                     [&](auto w) {
+                       ProjectPanel<decltype(w)::value>(b, x, ld, n,
+                                                        block_cols);
+                     });
+    }
   }
   if (panels != nullptr) *panels += 2 * num_panels * block_cols;
   if (flops != nullptr) *flops += 8 * n * basis_cols * block_cols;
 }
 
 int64_t OrthonormalizeColumns(PackedBasis& v, int64_t b0, int64_t count,
-                              double drop_tol, ThreadPool* pool,
-                              int64_t* panels, int64_t* flops) {
+                              double drop_tol, int64_t* panels,
+                              int64_t* flops) {
   const int64_t n = v.rows();
   int64_t kept = 0;  // columns [b0, b0 + kept) are orthonormal survivors
   int64_t next = 0;  // first incoming column not yet consumed
@@ -265,21 +303,14 @@ int64_t OrthonormalizeColumns(PackedBasis& v, int64_t b0, int64_t count,
       }
     }
     next += pw;
-    OrthogonalizeColumnsAgainstColumns(v, b0, kept, b0 + kept, pw, pool,
-                                       panels, flops);
-    // Small in-panel factorization: two-pass MGS with rank drops. The
-    // panel is at most kReorthPanelWidth wide, so this stays serial.
+    OrthogonalizeColumnsAgainstColumns(v, b0, kept, b0 + kept, pw, panels,
+                                       flops);
+    // Small in-panel factorization: two-pass MGS with rank drops.
     int64_t panel_kept = kept;
     for (int64_t j = kept; j < kept + pw; ++j) {
-      for (int pass = 0; pass < 2; ++pass) {
-        for (int64_t i = kept; i < panel_kept; ++i) {
-          const double coeff = DotColumns(v, b0 + i, v, b0 + j);
-          AxpyColumn(-coeff, v, b0 + i, b0 + j);
-          if (flops != nullptr) *flops += 4 * n;
-        }
-      }
-      if (flops != nullptr) *flops += 3 * n;
-      if (NormalizeColumn(v, b0 + j) <= drop_tol) continue;  // dependent
+      const double norm = MgsColumn(v, b0 + kept, b0 + panel_kept, b0 + j);
+      if (flops != nullptr) *flops += 8 * n * (panel_kept - kept) + 3 * n;
+      if (norm <= drop_tol) continue;  // dependent
       v.CopyColumn(b0 + j, b0 + panel_kept);
       ++panel_kept;
     }
@@ -294,8 +325,10 @@ void ProjectedRowMultiDot(const PackedBasis& v, const PackedBasis& av,
   const int64_t n = v.rows();
   for (int64_t p0 = 0; p0 < count; p0 += kReorthPanelWidth) {
     const int64_t pw = std::min(kReorthPanelWidth, count - p0);
-    HfillPanel(v.data(), av.data(), v.ld(), av.ld(), n, i, j0 + p0, pw,
-               out + p0);
+    WithPanelWidth(pw, [&](auto w) {
+      HfillPanelFixed<decltype(w)::value>(v.data(), av.data(), v.ld(), av.ld(),
+                                          n, i, j0 + p0, out + p0);
+    });
   }
 }
 

@@ -15,21 +15,24 @@
 //
 // Kernel shape: two-pass block classical Gram-Schmidt (BCGS2, "twice is
 // enough") over cache-blocked panels of kReorthPanelWidth basis columns.
-// For each panel a column is streamed exactly twice — once to form the
-// panel Gram coefficients, once for the fused multi-AXPY update — so the
-// basis traffic per column drops from 2 passes *per basis vector* to
-// 2 passes *per panel of 8*.
+// Each panel step is one Gram sweep over the rows, in register tiles of
+// two target lanes x the panel width, and ONE update sweep that serves
+// every target column of the block at once: the target lanes are adjacent
+// in each row, so a row is read and written once per panel step instead
+// of once per (column, panel) pair. The in-panel factorization of
+// OrthonormalizeColumns is a pipelined two-pass MGS: each AXPY rides in
+// the sweep of the next dot (the last one in the norm's), so a column
+// against k kept panel columns costs 2k + 2 sweeps instead of 4k + 2.
 //
-// Numerical contract: the single-column kernels reproduce, bit for bit,
-// the arithmetic of the corresponding vector_ops.h kernel — same
-// accumulation order (ascending row index per coefficient, ascending
-// panel lane per element). Parallelism is only ever across independent
-// output columns, gated by kMinParallelWork, so results are
-// byte-identical for any pool size including none. The pool is a runtime
-// resource, not part of any result: callers thread the single shared
-// worker set down from SpectralLpmOptions::pool and never spawn nested
-// pools (ThreadPool::ParallelFor is nest-safe — the caller participates
-// and degrades to serial when workers are busy).
+// Numerical contract: every kernel reproduces, bit for bit, the
+// arithmetic of the corresponding single-column vector_ops.h kernel —
+// same accumulation order (ascending row index per coefficient, ascending
+// panel lane per element) — so fusing columns into one sweep changes no
+// bit. The kernels run serially on the calling thread: the projections
+// are memory-bound sweeps over a few megabytes, and giving each column its
+// own pool task made the tasks share cache lines and re-stream every
+// panel, which measured twice as slow as one thread. The solver's pool
+// (BlockLanczosOptions::pool) still serves the SpMM and the H-fill.
 
 #ifndef SPECTRAL_LPM_LINALG_PACKED_BASIS_H_
 #define SPECTRAL_LPM_LINALG_PACKED_BASIS_H_
@@ -39,7 +42,6 @@
 #include <vector>
 
 #include "linalg/vector_ops.h"
-#include "util/thread_pool.h"
 
 namespace spectral {
 
@@ -47,14 +49,10 @@ namespace spectral {
 /// format at the solver API boundaries.
 using VectorBlock = std::vector<Vector>;
 
-/// Basis columns per cache-blocked panel. Eight doubles of Gram
-/// coefficients live in registers while eight basis columns stay hot in
-/// L1/L2 across the fused Gram + update passes.
+/// Basis columns per cache-blocked panel. A Gram tile of two target
+/// lanes x eight coefficients lives in registers while the panel's eight
+/// basis lanes stay hot in L1/L2 across the Gram and update sweeps.
 inline constexpr int64_t kReorthPanelWidth = 8;
-
-/// Blocks below this total element count run serially: the panel kernels
-/// finish faster than the pool's wake-up latency.
-inline constexpr int64_t kMinParallelWork = int64_t{1} << 14;
 
 /// A block of equal-length column vectors stored as one contiguous
 /// row-major buffer with a fixed leading dimension. Columns are cheap
@@ -145,15 +143,15 @@ void OrthogonalizeVectorAgainstColumns(const PackedBasis& v, int64_t cols,
 
 /// Removes from packed columns [block0, block0 + block_cols) of `v` their
 /// components along each (assumed unit-norm) contiguous vector in `basis`:
-/// two passes of panel-blocked classical Gram-Schmidt, columns processed
-/// independently (optionally in parallel on `pool`). If `panels` is
-/// non-null it is incremented by the number of panel-kernel applications
-/// (passes x panels x columns) — the work unit reported in FiedlerResult
-/// diagnostics; `flops` accumulates the deterministic flop estimate.
+/// two passes of panel-blocked classical Gram-Schmidt, all block columns
+/// fused into each panel's row sweeps. If `panels` is non-null it is
+/// incremented by passes x panels x block columns: a work unit (one
+/// column's projection onto one panel), not a count of kernel calls, and
+/// the unit reported in FiedlerResult diagnostics. `flops` accumulates
+/// the deterministic flop estimate.
 void OrthogonalizeColumnsAgainstBlock(std::span<const Vector> basis,
                                       PackedBasis& v, int64_t block0,
                                       int64_t block_cols,
-                                      ThreadPool* pool = nullptr,
                                       int64_t* panels = nullptr,
                                       int64_t* flops = nullptr);
 
@@ -162,21 +160,19 @@ void OrthogonalizeColumnsAgainstBlock(std::span<const Vector> basis,
 void OrthogonalizeColumnsAgainstColumns(PackedBasis& v, int64_t basis0,
                                         int64_t basis_cols, int64_t block0,
                                         int64_t block_cols,
-                                        ThreadPool* pool = nullptr,
                                         int64_t* panels = nullptr,
                                         int64_t* flops = nullptr);
 
 /// Orthonormalizes packed columns [b0, b0 + count) of `v` in place:
 /// incoming columns are consumed in panels of kReorthPanelWidth, each
 /// panel is orthogonalized against the kept prefix with the blocked kernel
-/// above, then factored by a small in-panel two-pass MGS. Columns whose
+/// above, then factored by a pipelined in-panel two-pass MGS. Columns whose
 /// norm collapses below `drop_tol` are numerically dependent and are
 /// dropped; the survivors keep their relative order (compacted by column
 /// copies). Returns the resulting rank; survivors end up at
 /// [b0, b0 + rank).
 int64_t OrthonormalizeColumns(PackedBasis& v, int64_t b0, int64_t count,
                               double drop_tol = 1e-10,
-                              ThreadPool* pool = nullptr,
                               int64_t* panels = nullptr,
                               int64_t* flops = nullptr);
 

@@ -181,8 +181,9 @@ TEST(BlockLanczos, ExactWarmStartConvergesFast) {
   const SparseOperator op(&m);
   BlockLanczosOptions options;
   options.num_pairs = 2;
-  options.start = {{1.0, 0.0, 0.0, 0.0, 0.0, 0.0},
-                   {0.0, 1.0, 0.0, 0.0, 0.0, 0.0}};
+  const VectorBlock start = {{1.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+                             {0.0, 1.0, 0.0, 0.0, 0.0, 0.0}};
+  options.start = start;
   auto result = LargestEigenpairsBlock(op, {}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->converged);
@@ -206,10 +207,11 @@ TEST(BlockLanczos, GarbageWarmStartStillConverges) {
   options.num_pairs = 2;
   // Garbage: the (deflated!) ones direction and an alternating vector far
   // from the smooth Fiedler modes.
-  options.start.assign(2, Vector(static_cast<size_t>(n), 1.0));
+  VectorBlock start(2, Vector(static_cast<size_t>(n), 1.0));
   for (int i = 0; i < n; ++i) {
-    options.start[1][static_cast<size_t>(i)] = (i % 2 == 0) ? 1.0 : -1.0;
+    start[1][static_cast<size_t>(i)] = (i % 2 == 0) ? 1.0 : -1.0;
   }
+  options.start = start;
   auto result = LargestEigenpairsBlock(op, deflate, options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->converged);

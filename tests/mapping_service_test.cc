@@ -4,7 +4,13 @@
 // additional eigensolves (the matvec counter is unchanged), duplicates
 // within a batch are deduplicated, and the LRU evicts with counters.
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +71,17 @@ std::vector<OrderingRequest> MixedRequests(const PointSet& grid_points,
       grid_points, {{0, 63, 4.0}}, "spectral"));
   requests.push_back(OrderingRequest::ForPoints(grid_points, "sweep"));
   return requests;
+}
+
+// Threads of this process, as the kernel lists them.
+int64_t ThreadCount() {
+  int64_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
 }
 
 PointSet Islands() {
@@ -173,6 +190,50 @@ TEST(MappingService, DuplicatesWithinABatchSolveOnce) {
   EXPECT_EQ(results[2]->served_from, ServeKind::kHit);
   EXPECT_EQ(Ranks(results[0]->order), Ranks(results[1]->order));
   EXPECT_EQ(results[0]->embedding, results[2]->embedding);
+}
+
+TEST(MappingService, SpectralAliasSharesTheCacheEntry) {
+  // "spectral-multilevel" is an alias of "spectral" with byte-identical
+  // results, so both names share one fingerprint and one solve.
+  const PointSet points = PointSet::FullGrid(GridSpec({16, 16}));
+  MappingService service;
+  auto first = service.Order(OrderingRequest::ForPoints(points, "spectral"));
+  auto second = service.Order(
+      OrderingRequest::ForPoints(points, "spectral-multilevel"));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(service.stats().solves, 1);
+  EXPECT_EQ(first->served_from, ServeKind::kMiss);
+  EXPECT_EQ(second->served_from, ServeKind::kHit);
+  EXPECT_EQ(Ranks(second->order), Ranks(first->order));
+  EXPECT_EQ(second->embedding, first->embedding);
+  EXPECT_EQ(StripCacheTag(second->detail), StripCacheTag(first->detail));
+}
+
+TEST(MappingService, SerialServiceStartsNoThreads) {
+  // parallelism = 1 means serial: a cold 64x64 order (one component far
+  // above the matvec row-partition threshold) must not start a pool of
+  // its own. The only new thread allowed is the watcher itself.
+  MappingServiceOptions options;
+  options.parallelism = 1;
+  options.cache_capacity = 0;
+  MappingService service(options);
+  const PointSet points = PointSet::FullGrid(GridSpec({64, 64}));
+
+  const int64_t before = ThreadCount();
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> peak{before};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      peak.store(std::max(peak.load(), ThreadCount()));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  auto result = service.Order(OrderingRequest::ForPoints(points));
+  done.store(true);
+  watcher.join();
+  ASSERT_TRUE(result.ok());
+  EXPECT_LE(peak.load(), before + 1);
 }
 
 TEST(MappingService, CacheTagIsRenderedFromServedFrom) {

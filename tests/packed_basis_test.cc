@@ -2,11 +2,12 @@
 // kernels: the single-column kernels must reproduce their vector_ops
 // counterparts bit for bit; the blocked BCGS2 kernels must reproduce
 // golden bit patterns and panel counters (recorded from the unpacked
-// VectorBlock kernels they replaced), remove the basis subspace, detect
-// rank across panel boundaries, and stay byte-identical across pool sizes.
+// VectorBlock kernels they replaced) and a per-column reference bit for
+// bit, remove the basis subspace, and detect rank across panel boundaries.
 // Exact comparisons are EXPECT_EQ on doubles or on bit-pattern hashes,
 // never near-equality.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -18,7 +19,6 @@
 #include "linalg/vector_ops.h"
 #include "util/hash.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace spectral {
 namespace {
@@ -96,6 +96,80 @@ void ExpectOrthonormalColumns(const PackedBasis& v, int64_t c0, int64_t cols,
   }
 }
 
+// Per-column reference for the fused projections: each target column on
+// its own, panel by panel, with the arithmetic of the single-column BCGS2
+// panel kernel (Gram sums in ascending row order, the update subtracting
+// in ascending panel-lane order). basis(r, c) reads basis column c.
+template <class Basis>
+void ReferenceProjectColumn(const Basis& basis, int64_t basis_cols,
+                            PackedBasis& v, int64_t xc) {
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int64_t p0 = 0; p0 < basis_cols; p0 += kReorthPanelWidth) {
+      const int64_t pw = std::min(kReorthPanelWidth, basis_cols - p0);
+      double coeffs[kReorthPanelWidth] = {};
+      for (int64_t r = 0; r < v.rows(); ++r) {
+        const double xi = v.at(r, xc);
+        for (int64_t c = 0; c < pw; ++c) coeffs[c] += basis(r, p0 + c) * xi;
+      }
+      for (int64_t r = 0; r < v.rows(); ++r) {
+        double acc = v.at(r, xc);
+        for (int64_t c = 0; c < pw; ++c) acc -= coeffs[c] * basis(r, p0 + c);
+        v.at(r, xc) = acc;
+      }
+    }
+  }
+}
+
+// The unfused OrthonormalizeColumns: per-column panel projection, then the
+// in-panel two-pass MGS as separate DotColumns / AxpyColumn /
+// NormalizeColumn sweeps.
+int64_t ReferenceOrthonormalize(PackedBasis& v, int64_t b0, int64_t count,
+                                double drop_tol) {
+  int64_t kept = 0;
+  int64_t next = 0;
+  while (next < count) {
+    const int64_t pw = std::min(kReorthPanelWidth, count - next);
+    if (kept != next) {
+      for (int64_t c = 0; c < pw; ++c) {
+        v.CopyColumn(b0 + next + c, b0 + kept + c);
+      }
+    }
+    next += pw;
+    const auto prefix = [&](int64_t r, int64_t c) { return v.at(r, b0 + c); };
+    for (int64_t c = 0; c < pw; ++c) {
+      ReferenceProjectColumn(prefix, kept, v, b0 + kept + c);
+    }
+    int64_t panel_kept = kept;
+    for (int64_t j = kept; j < kept + pw; ++j) {
+      for (int pass = 0; pass < 2; ++pass) {
+        for (int64_t i = kept; i < panel_kept; ++i) {
+          const double coeff = DotColumns(v, b0 + i, v, b0 + j);
+          AxpyColumn(-coeff, v, b0 + i, b0 + j);
+        }
+      }
+      if (NormalizeColumn(v, b0 + j) <= drop_tol) continue;
+      v.CopyColumn(b0 + j, b0 + panel_kept);
+      ++panel_kept;
+    }
+    kept = panel_kept;
+  }
+  return kept;
+}
+
+// Every element of every column of `a` and `b`, compared bit for bit.
+void ExpectBitIdentical(const PackedBasis& a, const PackedBasis& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.ld(), b.ld());
+  int64_t mismatches = 0;
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    for (int64_t c = 0; c < a.ld(); ++c) {
+      if (a.at(r, c) != b.at(r, c)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+}
+
 TEST(PackedBasis, CopyRoundTripAndColumnCopy) {
   Rng rng(11);
   const int64_t n = 37;
@@ -166,8 +240,8 @@ TEST(PackedBasis, OrthogonalizeVectorAgainstColumnsMatchesMgs) {
 }
 
 // Golden panel counters and bit patterns, recorded from the unpacked
-// OrthogonalizeBlockAgainst on the same seeded inputs, serial and pooled,
-// across basis sizes that exercise partial panels.
+// OrthogonalizeBlockAgainst on the same seeded inputs, across basis sizes
+// that exercise partial panels.
 TEST(PackedBasis, OrthogonalizeColumnsAgainstBlockMatchesGolden) {
   const struct {
     int64_t basis_size;
@@ -180,68 +254,59 @@ TEST(PackedBasis, OrthogonalizeColumnsAgainstBlockMatchesGolden) {
       {9, 20, "f84a372f0aed02bbe984aa521af70f62"},
       {17, 30, "939d2a1bbfd9c727ba1055698372419f"},
   };
-  ThreadPool pool(4);
   for (const auto& golden : kGolden) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      Rng rng(1000 + static_cast<uint64_t>(golden.basis_size));
-      VectorBlock basis = RandomBlock(400, golden.basis_size, rng);
-      for (Vector& q : basis) Normalize(q);
-      const VectorBlock block = RandomBlock(400, 5, rng);
+    Rng rng(1000 + static_cast<uint64_t>(golden.basis_size));
+    VectorBlock basis = RandomBlock(400, golden.basis_size, rng);
+    for (Vector& q : basis) Normalize(q);
+    const VectorBlock block = RandomBlock(400, 5, rng);
 
-      PackedBasis v;
-      v.Reset(400, 8);
-      PackInto(block, v, 2);
-      int64_t panels = 0;
-      int64_t flops = 0;
-      OrthogonalizeColumnsAgainstBlock(basis, v, 2, 5, p, &panels, &flops);
-      EXPECT_EQ(panels, golden.panels) << "basis=" << golden.basis_size;
-      EXPECT_EQ(flops, 8 * 400 * golden.basis_size * 5);
-      EXPECT_EQ(ColumnsHash(v, 2, 5), golden.hash)
-          << "basis=" << golden.basis_size;
-    }
+    PackedBasis v;
+    v.Reset(400, 8);
+    PackInto(block, v, 2);
+    int64_t panels = 0;
+    int64_t flops = 0;
+    OrthogonalizeColumnsAgainstBlock(basis, v, 2, 5, &panels, &flops);
+    EXPECT_EQ(panels, golden.panels) << "basis=" << golden.basis_size;
+    EXPECT_EQ(flops, 8 * 400 * golden.basis_size * 5);
+    EXPECT_EQ(ColumnsHash(v, 2, 5), golden.hash)
+        << "basis=" << golden.basis_size;
   }
 }
 
 TEST(PackedBasis, OrthogonalizeColumnsAgainstColumnsMatchesGolden) {
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    Rng rng(44);
-    const int64_t n = 300;
-    VectorBlock basis = RandomBlock(n, 10, rng);
-    for (Vector& q : basis) Normalize(q);
-    const VectorBlock block = RandomBlock(n, 4, rng);
+  Rng rng(44);
+  const int64_t n = 300;
+  VectorBlock basis = RandomBlock(n, 10, rng);
+  for (Vector& q : basis) Normalize(q);
+  const VectorBlock block = RandomBlock(n, 4, rng);
 
-    PackedBasis v;
-    v.Reset(n, 14);
-    PackInto(basis, v, 0);
-    PackInto(block, v, 10);
-    int64_t panels = 0;
-    OrthogonalizeColumnsAgainstColumns(v, 0, 10, 10, 4, p, &panels, nullptr);
-    EXPECT_EQ(panels, 16);
-    EXPECT_EQ(ColumnsHash(v, 10, 4), "318c13f37c91a72452117db8005e1b88");
-  }
+  PackedBasis v;
+  v.Reset(n, 14);
+  PackInto(basis, v, 0);
+  PackInto(block, v, 10);
+  int64_t panels = 0;
+  OrthogonalizeColumnsAgainstColumns(v, 0, 10, 10, 4, &panels, nullptr);
+  EXPECT_EQ(panels, 16);
+  EXPECT_EQ(ColumnsHash(v, 10, 4), "318c13f37c91a72452117db8005e1b88");
 }
 
 TEST(PackedBasis, OrthonormalizeColumnsMatchesGoldenIncludingDrops) {
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    Rng rng(55);
-    const int64_t n = 256;
-    // 11 columns with two exact duplicates: rank must drop to 9 with the
-    // golden survivor set and compaction.
-    VectorBlock block = RandomBlock(n, 9, rng);
-    block.insert(block.begin() + 3, block[1]);
-    block.push_back(block[5]);
-    ASSERT_EQ(block.size(), 11u);
+  Rng rng(55);
+  const int64_t n = 256;
+  // 11 columns with two exact duplicates: rank must drop to 9 with the
+  // golden survivor set and compaction.
+  VectorBlock block = RandomBlock(n, 9, rng);
+  block.insert(block.begin() + 3, block[1]);
+  block.push_back(block[5]);
+  ASSERT_EQ(block.size(), 11u);
 
-    PackedBasis v = Packed(block);
-    int64_t panels = 0;
-    const int64_t rank =
-        OrthonormalizeColumns(v, 0, 11, 1e-10, p, &panels, nullptr);
-    EXPECT_EQ(rank, 9);
-    EXPECT_EQ(panels, 6);
-    EXPECT_EQ(ColumnsHash(v, 0, rank), "4ee3f72210455d3710114951e41c3bfe");
-  }
+  PackedBasis v = Packed(block);
+  int64_t panels = 0;
+  const int64_t rank =
+      OrthonormalizeColumns(v, 0, 11, 1e-10, &panels, nullptr);
+  EXPECT_EQ(rank, 9);
+  EXPECT_EQ(panels, 6);
+  EXPECT_EQ(ColumnsHash(v, 0, rank), "4ee3f72210455d3710114951e41c3bfe");
 }
 
 TEST(PackedBasis, OrthonormalizeColumnsRespectsOffset) {
@@ -286,7 +351,7 @@ TEST(PackedBasis, OrthonormalizeFactorsAcrossPanelBoundaries) {
   PackedBasis v = Packed(block);
   int64_t panels = 0;
   const int64_t rank =
-      OrthonormalizeColumns(v, 0, 12, /*drop_tol=*/1e-10, nullptr, &panels);
+      OrthonormalizeColumns(v, 0, 12, /*drop_tol=*/1e-10, &panels);
   EXPECT_EQ(rank, 10);
   EXPECT_GT(panels, 0);
   ExpectOrthonormalColumns(v, 0, rank, 1e-10);
@@ -324,7 +389,7 @@ TEST(PackedBasis, PanelCounterCountsApplications) {
 
   PackedBasis v = Packed(block);
   int64_t panels = 0;
-  OrthogonalizeColumnsAgainstBlock(basis, v, 0, 4, nullptr, &panels);
+  OrthogonalizeColumnsAgainstBlock(basis, v, 0, 4, &panels);
   // 2 passes x 3 panels x 4 columns.
   EXPECT_EQ(panels, 24);
 
@@ -333,7 +398,7 @@ TEST(PackedBasis, PanelCounterCountsApplications) {
   PackInto(basis, w, 0);
   PackInto(block, w, 20);
   panels = 0;
-  OrthogonalizeColumnsAgainstColumns(w, 0, 20, 20, 4, nullptr, &panels);
+  OrthogonalizeColumnsAgainstColumns(w, 0, 20, 20, 4, &panels);
   EXPECT_EQ(panels, 24);
 }
 
@@ -375,67 +440,109 @@ TEST(PackedBasis, OrthogonalizeMatchesScalarReferenceSubspace) {
   }
 }
 
-// The byte-identity contract: pool parallelism is across independent
-// columns only, so every pool size reproduces the serial result exactly.
-// n * cols clears kMinParallelWork so the pooled path actually engages.
-TEST(PackedBasis, OrthogonalizeByteIdenticalAcrossPoolSizes) {
-  const int64_t n = 8192;
-  const VectorBlock basis = OrthonormalBasis(n, 12, 66);
-  Rng rng(77);
-  const VectorBlock input = RandomBlock(n, 6, rng);
-  ASSERT_GE(n * 6, kMinParallelWork);
+// The fused projections serve every block column from one row sweep per
+// panel step; per element they must equal the per-column reference bit for
+// bit. Block widths 1-9 cover the two-lane Gram tiles and their odd tail,
+// basis widths 0-17 cover empty, partial and multiple panels, ld leaves
+// spare lanes, and the target lanes start at lane 6 of a row so most
+// blocks straddle a 64-byte line.
+TEST(PackedBasis, FusedProjectionsMatchPerColumnReference) {
+  const int64_t n = 67;
+  for (int64_t block_cols = 1; block_cols <= 9; ++block_cols) {
+    for (int64_t basis_cols = 0; basis_cols <= 17; ++basis_cols) {
+      const std::string what = "block=" + std::to_string(block_cols) +
+                               " basis=" + std::to_string(basis_cols);
+      Rng rng(static_cast<uint64_t>(100 * block_cols + basis_cols));
+      VectorBlock basis = RandomBlock(n, basis_cols, rng);
+      for (Vector& q : basis) Normalize(q);
+      const VectorBlock block = RandomBlock(n, block_cols, rng);
+      // Basis at [0, basis_cols), targets from the next lane that is 6
+      // modulo 8, then three spare lanes.
+      const int64_t block0 = basis_cols + (6 - basis_cols % 8 + 8) % 8;
+      const int64_t ld = block0 + block_cols + 3;
 
-  PackedBasis serial = Packed(input);
-  int64_t serial_panels = 0;
-  OrthogonalizeColumnsAgainstBlock(basis, serial, 0, 6, nullptr,
-                                   &serial_panels);
-  PackedBasis serial_cols;
-  serial_cols.Reset(n, 18);
-  PackInto(basis, serial_cols, 0);
-  PackInto(input, serial_cols, 12);
-  OrthogonalizeColumnsAgainstColumns(serial_cols, 0, 12, 12, 6);
+      PackedBasis fused;
+      fused.Reset(n, ld);
+      for (int64_t r = 0; r < n; ++r) {
+        for (int64_t c = 0; c < ld; ++c) fused.at(r, c) = rng.Gaussian();
+      }
+      PackInto(basis, fused, 0);
+      PackInto(block, fused, block0);
+      PackedBasis reference = fused;
 
-  for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
-    PackedBasis pooled = Packed(input);
-    int64_t pooled_panels = 0;
-    OrthogonalizeColumnsAgainstBlock(basis, pooled, 0, 6, &pool,
-                                     &pooled_panels);
-    EXPECT_EQ(pooled_panels, serial_panels);
-    EXPECT_EQ(ColumnsHash(pooled, 0, 6), ColumnsHash(serial, 0, 6))
-        << "threads=" << threads;
+      // Against packed columns of the same buffer.
+      int64_t panels = 0;
+      int64_t flops = 0;
+      OrthogonalizeColumnsAgainstColumns(fused, 0, basis_cols, block0,
+                                         block_cols, &panels, &flops);
+      const auto packed = [&](int64_t r, int64_t c) {
+        return reference.at(r, c);
+      };
+      for (int64_t j = 0; j < block_cols; ++j) {
+        ReferenceProjectColumn(packed, basis_cols, reference, block0 + j);
+      }
+      ExpectBitIdentical(fused, reference, "columns " + what);
+      const int64_t num_panels =
+          (basis_cols + kReorthPanelWidth - 1) / kReorthPanelWidth;
+      EXPECT_EQ(panels, basis_cols == 0 ? 0 : 2 * num_panels * block_cols)
+          << what;
+      EXPECT_EQ(flops, 8 * n * basis_cols * block_cols) << what;
 
-    PackedBasis pooled_cols;
-    pooled_cols.Reset(n, 18);
-    PackInto(basis, pooled_cols, 0);
-    PackInto(input, pooled_cols, 12);
-    OrthogonalizeColumnsAgainstColumns(pooled_cols, 0, 12, 12, 6, &pool);
-    EXPECT_EQ(ColumnsHash(pooled_cols, 12, 6), ColumnsHash(serial_cols, 12, 6))
-        << "threads=" << threads;
+      // Against a contiguous Vector basis.
+      OrthogonalizeColumnsAgainstBlock(basis, fused, block0, block_cols);
+      const auto vectors = [&](int64_t r, int64_t c) {
+        return basis[static_cast<size_t>(c)][static_cast<size_t>(r)];
+      };
+      for (int64_t j = 0; j < block_cols; ++j) {
+        ReferenceProjectColumn(vectors, basis_cols, reference, block0 + j);
+      }
+      ExpectBitIdentical(fused, reference, "block " + what);
+    }
   }
 }
 
-TEST(PackedBasis, OrthonormalizeByteIdenticalAcrossPoolSizes) {
-  const int64_t n = 8192;
-  Rng rng(88);
-  const VectorBlock input = RandomBlock(n, 10, rng);
+// The pipelined in-panel MGS against the unfused sweeps, through rank
+// drops on both sides of panel boundaries, at the growth loop's two drop
+// tolerances: rank, survivors, compaction and the dropped columns' lanes
+// all match bit for bit.
+TEST(PackedBasis, PipelinedMgsMatchesUnfusedThroughRankDrops) {
+  const int64_t n = 90;
+  Rng rng(2024);
+  VectorBlock block = RandomBlock(n, 21, rng);
+  for (Vector& col : block) Normalize(col);
+  block[3] = block[1];                  // exact duplicate inside panel 1
+  Scale(-2.0, block[3]);
+  block[9].assign(static_cast<size_t>(n), 0.0);  // combination across panels
+  Axpy(1.0, block[2], block[9]);
+  Axpy(0.5, block[7], block[9]);
+  for (int64_t c : {11, 17}) {          // mostly an earlier column: keeps
+    Vector& col = block[static_cast<size_t>(c)];  // ~0.3 of its mass
+    Scale(0.3, col);
+    Axpy(0.95, block[static_cast<size_t>(c - 6)], col);
+  }
+  block[16] = block[15];                // duplicate on the panel boundary
+  block[20].assign(static_cast<size_t>(n), 0.0);  // exactly zero column
 
-  PackedBasis serial = Packed(input);
-  int64_t serial_panels = 0;
-  const int64_t serial_rank =
-      OrthonormalizeColumns(serial, 0, 10, 1e-10, nullptr, &serial_panels);
-
-  for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
-    PackedBasis pooled = Packed(input);
-    int64_t pooled_panels = 0;
-    const int64_t pooled_rank =
-        OrthonormalizeColumns(pooled, 0, 10, 1e-10, &pool, &pooled_panels);
-    EXPECT_EQ(pooled_rank, serial_rank);
-    EXPECT_EQ(pooled_panels, serial_panels);
-    EXPECT_EQ(ColumnsHash(pooled, 0, pooled_rank),
-              ColumnsHash(serial, 0, serial_rank))
-        << "threads=" << threads;
+  for (double drop_tol : {1e-10, 0.5}) {
+    for (int64_t b0 : {0, 3}) {
+      const std::string what = "drop_tol=" + std::to_string(drop_tol) +
+                               " b0=" + std::to_string(b0);
+      PackedBasis fused;
+      fused.Reset(n, b0 + 21 + 2);
+      for (int64_t r = 0; r < n; ++r) {
+        for (int64_t c = 0; c < fused.ld(); ++c) {
+          fused.at(r, c) = rng.Gaussian();
+        }
+      }
+      PackInto(block, fused, b0);
+      PackedBasis reference = fused;
+      const int64_t rank = OrthonormalizeColumns(fused, b0, 21, drop_tol);
+      EXPECT_EQ(rank, ReferenceOrthonormalize(reference, b0, 21, drop_tol))
+          << what;
+      EXPECT_LT(rank, drop_tol > 0.1 ? 16 : 19) << what;
+      ExpectBitIdentical(fused, reference, what);
+      ExpectOrthonormalColumns(fused, b0, rank, 1e-10);
+    }
   }
 }
 
